@@ -1,6 +1,7 @@
 // Perf baseline for the auction engine (DESIGN.md §5): sweeps BP count
 // × link count × engine mode (serial / parallel / cached /
-// parallel+cached, plus the exact solver on a small instance), times
+// parallel+cached, where "cached" is a fresh delta memo per auction,
+// plus the exact solver on a small instance), times
 // `market::run_auction`, verifies every mode produces the bit-identical
 // AuctionResult, and emits BENCH_auction.json for regression tracking.
 //
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "market/delta_reclear.hpp"
 #include "market/pricing.hpp"
 #include "market/vcg.hpp"
 #include "topo/traffic.hpp"
@@ -165,7 +167,6 @@ int main(int argc, char** argv) {
             market::AuctionOptions opt;
             opt.exact = inst.exact;
             opt.threads = mode.threads;
-            opt.cache = mode.cache;
 
             double best_ms = 0.0;
             std::optional<market::AuctionResult> result;
@@ -173,6 +174,10 @@ int main(int argc, char** argv) {
                 // Fresh oracle per run: lifetime query counts comparable.
                 const market::AcceptabilityOracle oracle(inst.pool.graph(), inst.tm,
                                                          market::ConstraintKind::kLoad, inst.oopt);
+                // Cached modes memoize within this run only: a fresh
+                // delta state's first run is cold.
+                market::DeltaReclearState memo;
+                opt.delta = mode.cache ? &memo : nullptr;
                 const auto t0 = std::chrono::steady_clock::now();
                 result = market::run_auction(inst.pool, oracle, opt);
                 const auto t1 = std::chrono::steady_clock::now();

@@ -22,7 +22,7 @@ FlowReport simulate_flows_primary(const net::Subgraph& backbone,
     net::ShardOptions shard_opt;
     shard_opt.metric = net::SsspMetric::kLength;
     shard_opt.shards = opt.flow_shards;
-    shard_opt.threads = opt.sssp_threads;
+    shard_opt.threads = opt.flow_threads;
     shard_opt.cache = opt.path_cache;
     shard_opt.is_virtual = is_virtual.empty() ? nullptr : &is_virtual;
 
@@ -109,13 +109,12 @@ FlowReport simulate_flows(const net::Subgraph& backbone, const net::TrafficMatri
     }
 
     // Shortest-possible distance per demand for the stretch metric:
-    // one SSSP per distinct source (optionally cached / parallel)
-    // instead of one per demand. The accumulation below stays in j
+    // one SSSP per distinct source (optionally cached) instead of one
+    // per demand. The accumulation below stays in j
     // order, so the sum is bit-identical to per-demand shortest_path
     // calls.
     net::SsspBatchOptions batch_opt;
     batch_opt.metric = net::SsspMetric::kLength;
-    batch_opt.threads = opt.sssp_threads;
     batch_opt.cache = opt.path_cache;
     const std::vector<double> shortest_km = net::batched_demand_distances(backbone, tm, batch_opt);
 

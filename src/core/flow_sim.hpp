@@ -37,13 +37,13 @@ struct FlowSimOptions {
     /// (stretch metric under kGreedy, the routing itself under
     /// kPrimary). Null computes the trees locally.
     net::PathCache* path_cache = nullptr;
-    /// Threads for the per-source SSSP fan-out (1 = serial).
-    std::size_t sssp_threads = 1;
     /// Data-plane selection (semantic; fingerprinted).
     FlowRouting routing = FlowRouting::kGreedy;
-    /// Shard tasks for the kPrimary partition (engine knob: results
-    /// are bit-identical for every value; ignored under kGreedy).
+    /// Shard tasks and threads for the kPrimary partition (engine
+    /// knobs: results are bit-identical for every value; ignored under
+    /// kGreedy).
     std::size_t flow_shards = 1;
+    std::size_t flow_threads = 1;
 };
 
 struct FlowReport {

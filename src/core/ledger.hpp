@@ -70,6 +70,10 @@ struct Transfer {
 void write_transfer(util::BinaryWriter& w, const Transfer& t);
 Transfer read_transfer(util::BinaryReader& r);
 
+/// Smallest encoded transfer (empty memo): three kind bytes, two u32
+/// party indices, the i64 amount and the memo's u64 length prefix.
+inline constexpr std::size_t kMinTransferBytes = 3 + 2 * 4 + 8 + 8;
+
 /// Append-only ledger with exact integer accounting.
 class Ledger {
 public:

@@ -1,7 +1,9 @@
 // Warm-started winner determination across epochs (DESIGN.md §7).
 //
-// The per-auction AuctionCache memoizes oracle verdicts and whole pivot
-// solves *within* one run_auction call. Between epochs the offered pool
+// An AuctionCache memoizes oracle verdicts and whole pivot solves, and
+// DeltaReclearState is the auction's only way to engage one: a fresh
+// state is exactly a per-auction memo, since its first run is cold.
+// Between epochs the offered pool
 // usually changes by a handful of links (faults, withdrawals, repairs)
 // while everything else — graph weights, traffic matrix, constraint,
 // per-link pricing — stays put. Under those conditions every cached

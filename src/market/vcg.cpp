@@ -87,24 +87,18 @@ std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& or
     POC_OBS_SPAN("market.run_auction");
     POC_OBS_INC("market.auction.runs");
     const std::size_t queries_before = oracle.query_count();
-    // The memoization layer: per-auction by default (verdicts and
-    // solves are pure functions of the link set only for a fixed pool,
-    // oracle, and option set); carried across auctions when a delta
-    // re-clearing state is attached and the context certifies the
-    // carried entries stay exact (market/delta_reclear.hpp). Either
-    // way the engine's control flow is untouched — memo replay is the
-    // only difference — so results are bit-identical to cold solves.
+    // The memoization layer: the delta state's memo, engaged when the
+    // context certifies its entries stay exact (verdicts and solves
+    // are pure functions of the link set only for a fixed pool, oracle,
+    // and option set; market/delta_reclear.hpp). The engine's control
+    // flow is untouched — memo replay is the only difference — so
+    // results are bit-identical to unmemoized solves.
     AuctionCache* cache_ptr = nullptr;
     if (opt.delta != nullptr) {
         if (const auto context = delta_context(pool, oracle, opt)) {
             opt.delta->begin_run(*context, delta_offer_digests(pool), opt.delta_max_links);
             cache_ptr = &opt.delta->cache();
         }
-    }
-    std::optional<AuctionCache> cache;
-    if (cache_ptr == nullptr && opt.cache) {
-        cache.emplace();
-        cache_ptr = &*cache;
     }
     std::optional<CachingOracle> caching_oracle;
     const Oracle* engine_oracle = &oracle;
@@ -183,20 +177,25 @@ std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& or
     return result;
 }
 
-namespace {
-
 void write_links(util::BinaryWriter& w, const std::vector<net::LinkId>& links) {
     w.u64(links.size());
     for (const net::LinkId l : links) w.u32(l.value());
 }
 
 std::vector<net::LinkId> read_links(util::BinaryReader& r) {
-    const std::uint64_t n = r.u64();
+    const std::uint64_t n = r.count(sizeof(std::uint32_t));
     std::vector<net::LinkId> links;
     links.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) links.push_back(net::LinkId{r.u32()});
     return links;
 }
+
+namespace {
+
+/// Smallest encoded BpOutcome (empty name, no links): the u32 bp id,
+/// two u64 length prefixes, three i64 amounts, the f64 pob and the
+/// pivot flag.
+constexpr std::size_t kMinOutcomeBytes = 4 + 2 * 8 + 3 * 8 + 8 + 1;
 
 }  // namespace
 
@@ -226,7 +225,7 @@ AuctionResult read_auction_result(util::BinaryReader& r) {
     result.selection.links = read_links(r);
     result.selection.cost = util::Money::from_micros(r.i64());
     result.virtual_cost = util::Money::from_micros(r.i64());
-    const std::uint64_t n = r.u64();
+    const std::uint64_t n = r.count(kMinOutcomeBytes);
     result.outcomes.resize(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         BpOutcome& o = result.outcomes[i];

@@ -53,13 +53,14 @@ struct AuctionResult {
     util::Money total_outlay;
     /// Real acceptability-oracle evaluations over the oracle's lifetime
     /// (diagnostics). Exact under concurrency (atomic counting) and
-    /// with caching on: memoized answers are *not* re-counted here.
+    /// with the memo engaged: memoized answers are *not* re-counted here.
     std::size_t oracle_queries = 0;
-    /// Oracle verdicts answered from the memoization layer instead of
-    /// re-evaluated (zero when AuctionOptions::cache is off).
+    /// Oracle verdicts answered from the delta memo instead of
+    /// re-evaluated (zero when AuctionOptions::delta is unset or the
+    /// oracle cannot certify purity).
     std::size_t oracle_cache_hits = 0;
-    /// Whole pivot re-solves reused from the solve memo (zero when
-    /// AuctionOptions::cache is off).
+    /// Whole pivot re-solves reused from the delta memo (zero under
+    /// the same conditions).
     std::size_t solve_cache_hits = 0;
     /// Position of each BP's outcome in `outcomes`; built by
     /// run_auction so outcome() is an O(1) lookup.
@@ -85,20 +86,17 @@ struct AuctionOptions {
     /// sat at 0.75-0.99x serial before this gate). Identical results
     /// on both sides of the cutover.
     std::size_t parallel_min_pivots = 8;
-    /// Memoize oracle verdicts and whole pivot solves within this
-    /// auction (see market/auction_cache.hpp). Results are
-    /// bit-identical to the uncached path; only the work is shared.
-    bool cache = false;
-    /// Cross-epoch warm start (market/delta_reclear.hpp): when set and
-    /// the oracle certifies purity (Oracle::verdict_fingerprint), this
-    /// auction reuses the previous run's verdict/solve memo whenever
-    /// the offered pool differs by at most `delta_max_links` links
-    /// under an unchanged context, and solves cold (dropping the memo)
-    /// otherwise. Supersedes `cache` when engaged. Results are
-    /// bit-identical to cold solves either way; the threshold bounds
-    /// memory and staleness, not correctness. The pointed-to state must
-    /// outlive every auction using it, and auctions sharing one state
-    /// must not run concurrently with each other.
+    /// The memo (market/delta_reclear.hpp): when set and the oracle
+    /// certifies purity (Oracle::verdict_fingerprint), this auction
+    /// memoizes oracle verdicts and whole pivot solves, and reuses the
+    /// previous run's memo whenever the offered pool differs by at most
+    /// `delta_max_links` links under an unchanged context (solving cold,
+    /// with the memo dropped, otherwise). A fresh state is a
+    /// per-auction memo, since its first run is cold. Results are
+    /// bit-identical to unmemoized solves either way; the threshold
+    /// bounds memory and staleness, not correctness. The pointed-to
+    /// state must outlive every auction using it, and auctions sharing
+    /// one state must not run concurrently with each other.
     DeltaReclearState* delta = nullptr;
     /// The k-link cutover: offered-set symmetric differences larger
     /// than this fall back to a cold solve.
@@ -120,5 +118,10 @@ bool parallel_pivots_engaged(const AuctionOptions& opt, std::size_t pivot_count)
 /// run_auction builds it).
 void write_auction_result(util::BinaryWriter& w, const AuctionResult& result);
 AuctionResult read_auction_result(util::BinaryReader& r);
+
+/// The length-prefixed link-id list codec shared by every journaled
+/// record that carries links.
+void write_links(util::BinaryWriter& w, const std::vector<net::LinkId>& links);
+std::vector<net::LinkId> read_links(util::BinaryReader& r);
 
 }  // namespace poc::market

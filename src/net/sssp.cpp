@@ -5,7 +5,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace poc::net {
 
@@ -35,19 +34,6 @@ SourceGroups group_by_source(const TrafficMatrix& tm) {
     return g;
 }
 
-/// Run fn(group_index) for every group, serially or across a pool.
-/// Each invocation touches only its own group's outputs, so the
-/// schedule cannot affect results.
-template <class Fn>
-void for_each_group(std::size_t group_count, std::size_t threads, const Fn& fn) {
-    if (threads <= 1 || group_count <= 1) {
-        for (std::size_t gi = 0; gi < group_count; ++gi) fn(gi);
-        return;
-    }
-    util::ThreadPool pool(threads - 1);  // parallel_for joins the calling thread
-    pool.parallel_for(group_count, fn);
-}
-
 }  // namespace
 
 std::vector<NodeId> distinct_sources(const TrafficMatrix& tm) {
@@ -62,20 +48,20 @@ std::vector<double> batched_demand_distances(const Subgraph& sg, const TrafficMa
     POC_OBS_COUNT("net.sssp.batch_demands", tm.size());
     POC_OBS_COUNT("net.sssp.batch_sources", groups.sources.size());
 
-    for_each_group(groups.sources.size(), opt.threads, [&](std::size_t gi) {
+    thread_local SsspWorkspace ws;
+    for (std::size_t gi = 0; gi < groups.sources.size(); ++gi) {
         if (opt.cache) {
             const auto tree = opt.cache->tree(sg, groups.sources[gi], opt.metric);
             for (const std::size_t j : groups.demand_indices[gi]) {
                 out[j] = tree->dist[tm[j].dst.index()];
             }
         } else {
-            thread_local SsspWorkspace ws;
             dijkstra_metric_into(sg, groups.sources[gi], opt.metric, ws);
             for (const std::size_t j : groups.demand_indices[gi]) {
                 out[j] = ws.dist(tm[j].dst);
             }
         }
-    });
+    }
     return out;
 }
 
@@ -88,7 +74,8 @@ std::vector<std::vector<LinkId>> batched_primary_paths(const Subgraph& sg,
     POC_OBS_COUNT("net.sssp.batch_demands", tm.size());
     POC_OBS_COUNT("net.sssp.batch_sources", groups.sources.size());
 
-    for_each_group(groups.sources.size(), opt.threads, [&](std::size_t gi) {
+    thread_local SsspWorkspace ws;
+    for (std::size_t gi = 0; gi < groups.sources.size(); ++gi) {
         if (opt.cache) {
             const auto tree = opt.cache->tree(sg, groups.sources[gi], opt.metric);
             for (const std::size_t j : groups.demand_indices[gi]) {
@@ -96,14 +83,13 @@ std::vector<std::vector<LinkId>> batched_primary_paths(const Subgraph& sg,
                 if (tree->reachable(tm[j].dst)) primaries[j] = tree->path_to(tm[j].dst);
             }
         } else {
-            thread_local SsspWorkspace ws;
             dijkstra_metric_into(sg, groups.sources[gi], opt.metric, ws);
             for (const std::size_t j : groups.demand_indices[gi]) {
                 if (tm[j].gbps <= 0.0) continue;
                 if (ws.reachable(tm[j].dst)) ws.append_path_to(tm[j].dst, primaries[j]);
             }
         }
-    });
+    }
     return primaries;
 }
 

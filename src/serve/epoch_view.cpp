@@ -120,7 +120,7 @@ std::string encode_epoch_view(const EpochView& view) {
         w.f64(q.pob);
         w.u64(q.links_won);
     }
-    sim::write_links(w, view.backbone);
+    market::write_links(w, view.backbone);
     w.u64(view.trees.size());
     for (const net::ShortestPathTree& tree : view.trees) {
         w.u32(tree.source.value());

@@ -6,9 +6,7 @@
 #include <map>
 #include <utility>
 
-#include "market/delta_reclear.hpp"
 #include "obs/trace.hpp"
-#include "sim/event_queue.hpp"
 #include "topo/geo.hpp"
 #include "util/rng.hpp"
 
@@ -261,28 +259,15 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
     std::vector<bool> is_virtual(n_links, false);
     for (const net::LinkId l : base_pool.virtual_links().links()) is_virtual[l.index()] = true;
 
-    // One tree cache for the whole run (see ChaosOptions::use_path_cache):
-    // the initial auction, every re-auction pivot, and every epoch's
-    // flow simulation share it; advance_epoch() below keeps only the
-    // recent working set alive. The repair budget lets near-miss masks
-    // patch cached trees instead of recomputing them.
-    net::PathCache path_cache(1, opt.path_cache_repair_budget);
-    core::ProvisioningRequest request = opt.request;
-    core::FlowSimOptions flow_opt;
-    if (opt.use_path_cache) {
-        request.oracle.path_cache = &path_cache;
-        flow_opt.path_cache = &path_cache;
-    }
-    flow_opt.routing = opt.flow_routing;
-    flow_opt.flow_shards = opt.flow_shards;
-    flow_opt.sssp_threads = opt.flow_threads;
-    // One warm-start state across the run's auctions: off-cycle
+    // One engine for the whole run: the initial auction, every
+    // re-auction pivot, and every epoch's flow pass share its path
+    // cache (safe across the brownout graph copies, since capacity
+    // scaling keeps link ids and lengths, the cache-key contract), and
     // re-auctions whose surviving offer set is within the delta
     // threshold of the previous clearing reuse its memo.
-    market::DeltaReclearState delta_state;
-    if (opt.use_delta_reclear && request.auction.delta == nullptr) {
-        request.auction.delta = &delta_state;
-    }
+    Engine engine(opt);
+    const core::ProvisioningRequest request = engine.wire(opt.request);
+    const core::FlowSimOptions flow_opt = engine.flow_options(opt.flow_routing);
 
     ChaosOutcome out;
     auto initial = core::provision(base_pool, tm, request);
@@ -290,7 +275,7 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
     out.provisioned = true;
     out.baseline_outlay = initial->monthly_outlay();
 
-    // Service state mutated by the scheduled handlers. Re-auctioned
+    // Service state mutated by the epoch loop's re-auctions. Re-auctioned
     // backbones reference brownout-degraded graph copies, so those (and
     // the pools built over them) live in deques for address stability.
     struct State {
@@ -384,99 +369,93 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
         }
     };
 
-    Simulator simulator;
     for (std::size_t epoch = 0; epoch < opt.epochs; ++epoch) {
-        simulator.schedule_at(static_cast<double>(epoch), [&, epoch](Simulator& sim) {
-            // New epoch: age out cached trees no recent mask used.
-            path_cache.advance_epoch();
-            std::vector<char> down;
-            std::vector<double> factor;
-            SlaRecord rec;
-            rec.epoch = epoch;
-            rec.faults_active = fault_state(epoch, down, factor);
-            rec.degraded_mode = st.degraded_mode;
+        engine.advance_epoch();
+        std::vector<char> down;
+        std::vector<double> factor;
+        SlaRecord rec;
+        rec.epoch = epoch;
+        rec.faults_active = fault_state(epoch, down, factor);
+        rec.degraded_mode = st.degraded_mode;
 
-            const bool any_brownout =
-                std::any_of(factor.begin(), factor.end(), [](double f) { return f < 1.0; });
-            net::Graph degraded;  // only materialized when capacities changed
-            const net::Graph* epoch_graph = &g0;
-            if (any_brownout) {
-                degraded = scaled_copy(g0, factor);
-                epoch_graph = &degraded;
+        const bool any_brownout =
+            std::any_of(factor.begin(), factor.end(), [](double f) { return f < 1.0; });
+        net::Graph degraded;  // only materialized when capacities changed
+        const net::Graph* epoch_graph = &g0;
+        if (any_brownout) {
+            degraded = scaled_copy(g0, factor);
+            epoch_graph = &degraded;
+        }
+
+        // Operating set: surviving selected links, plus every
+        // contracted virtual link as emergency fallback.
+        std::vector<net::LinkId> operating;
+        std::vector<char> in_selected(n_links, 0);
+        for (const net::LinkId l : st.backbone.selected.active_links()) {
+            in_selected[l.index()] = 1;
+            if (down[l.index()]) {
+                ++rec.links_down;
+                continue;
             }
-
-            // Operating set: surviving selected links, plus every
-            // contracted virtual link as emergency fallback.
-            std::vector<net::LinkId> operating;
-            std::vector<char> in_selected(n_links, 0);
-            for (const net::LinkId l : st.backbone.selected.active_links()) {
-                in_selected[l.index()] = 1;
-                if (down[l.index()]) {
-                    ++rec.links_down;
-                    continue;
-                }
-                if (factor[l.index()] < 1.0) ++rec.links_degraded;
-                operating.push_back(l);
-            }
-            if (opt.allow_emergency_virtual) {
-                for (const net::LinkId l : base_pool.virtual_links().links()) {
-                    if (!in_selected[l.index()]) operating.push_back(l);
-                }
-            }
-
-            const net::Subgraph sg(*epoch_graph, operating);
-            const core::FlowReport flows = core::simulate_flows(sg, tm, is_virtual, flow_opt);
-
-            rec.offered_gbps = flows.total_offered_gbps;
-            rec.delivered_gbps = std::min(flows.total_routed_gbps, flows.total_offered_gbps);
-            rec.delivered_fraction =
-                rec.offered_gbps > 0.0 ? rec.delivered_gbps / rec.offered_gbps : 1.0;
-            rec.undelivered_gbps = std::max(0.0, rec.offered_gbps - rec.delivered_gbps);
-            rec.stretch = flows.stretch;
-            rec.virtual_share = flows.virtual_share;
-
-            // Virtual links the auction did not select but the degraded
-            // routing leaned on: procured for the epoch at contract price.
+            if (factor[l.index()] < 1.0) ++rec.links_degraded;
+            operating.push_back(l);
+        }
+        if (opt.allow_emergency_virtual) {
             for (const net::LinkId l : base_pool.virtual_links().links()) {
-                if (in_selected[l.index()] == 0 && flows.link_load_gbps[l.index()] > 1e-9) {
-                    rec.emergency_virtual_cost += base_pool.virtual_links().price(l);
-                }
+                if (!in_selected[l.index()]) operating.push_back(l);
             }
-            rec.outlay = st.outlay + rec.emergency_virtual_cost;
-            out.total_recovery_cost += rec.emergency_virtual_cost;
+        }
 
-            // Recovery trigger: an off-cycle re-auction, mid-epoch on
-            // the simulator clock, whose backbone serves from the next
-            // epoch (time-to-restore is therefore measured in epochs).
-            if (rec.delivered_fraction < opt.reauction_threshold && epoch + 1 < opt.epochs) {
-                rec.reauction_triggered = true;
-                sim.schedule_in(0.5, [&, epoch](Simulator&) { reauction(epoch); });
+        const net::Subgraph sg(*epoch_graph, operating);
+        const core::FlowReport flows = core::simulate_flows(sg, tm, is_virtual, flow_opt);
+
+        rec.offered_gbps = flows.total_offered_gbps;
+        rec.delivered_gbps = std::min(flows.total_routed_gbps, flows.total_offered_gbps);
+        rec.delivered_fraction =
+            rec.offered_gbps > 0.0 ? rec.delivered_gbps / rec.offered_gbps : 1.0;
+        rec.undelivered_gbps = std::max(0.0, rec.offered_gbps - rec.delivered_gbps);
+        rec.stretch = flows.stretch;
+        rec.virtual_share = flows.virtual_share;
+
+        // Virtual links the auction did not select but the degraded
+        // routing leaned on: procured for the epoch at contract price.
+        for (const net::LinkId l : base_pool.virtual_links().links()) {
+            if (in_selected[l.index()] == 0 && flows.link_load_gbps[l.index()] > 1e-9) {
+                rec.emergency_virtual_cost += base_pool.virtual_links().price(l);
             }
+        }
+        rec.outlay = st.outlay + rec.emergency_virtual_cost;
+        out.total_recovery_cost += rec.emergency_virtual_cost;
 
-            // Per-epoch SLA accounting through the metrics layer (the
-            // same quantities as the SlaRecord, so snapshot deltas can
-            // stand in for hand-rolled counters downstream).
-            POC_OBS_INC("sim.chaos.epochs");
-            POC_OBS_COUNT("sim.chaos.faults_active", rec.faults_active);
-            POC_OBS_COUNT("sim.chaos.links_down", rec.links_down);
-            POC_OBS_COUNT("sim.chaos.links_degraded", rec.links_degraded);
-            if (rec.delivered_fraction < opt.reauction_threshold) {
-                POC_OBS_INC("sim.chaos.sla_violations");
-            }
-            if (rec.delivered_fraction < 1.0 - 1e-6) POC_OBS_INC("sim.chaos.degraded_epochs");
-            if (rec.degraded_mode) POC_OBS_INC("sim.chaos.relaxed_mode_epochs");
-            POC_OBS_COUNT("sim.chaos.emergency_virtual_microusd",
-                          rec.emergency_virtual_cost.micros());
-            POC_OBS_HISTOGRAM("sim.chaos.delivered_fraction", 0.0, 1.0 + 1e-9, 20,
-                              rec.delivered_fraction);
-            POC_OBS_HISTOGRAM("sim.chaos.undelivered_gbps", 0.0, 1000.0, 50,
-                              rec.undelivered_gbps);
+        // Recovery trigger: an off-cycle re-auction after this
+        // epoch's measurement, whose backbone serves from the next
+        // epoch (time-to-restore is therefore measured in epochs).
+        rec.reauction_triggered =
+            rec.delivered_fraction < opt.reauction_threshold && epoch + 1 < opt.epochs;
 
-            out.sla.push_back(rec);
-            if (opt.on_epoch) opt.on_epoch(out.sla.back());
-        });
+        // Per-epoch SLA accounting through the metrics layer (the
+        // same quantities as the SlaRecord, so snapshot deltas can
+        // stand in for hand-rolled counters downstream).
+        POC_OBS_INC("sim.chaos.epochs");
+        POC_OBS_COUNT("sim.chaos.faults_active", rec.faults_active);
+        POC_OBS_COUNT("sim.chaos.links_down", rec.links_down);
+        POC_OBS_COUNT("sim.chaos.links_degraded", rec.links_degraded);
+        if (rec.delivered_fraction < opt.reauction_threshold) {
+            POC_OBS_INC("sim.chaos.sla_violations");
+        }
+        if (rec.delivered_fraction < 1.0 - 1e-6) POC_OBS_INC("sim.chaos.degraded_epochs");
+        if (rec.degraded_mode) POC_OBS_INC("sim.chaos.relaxed_mode_epochs");
+        POC_OBS_COUNT("sim.chaos.emergency_virtual_microusd",
+                      rec.emergency_virtual_cost.micros());
+        POC_OBS_HISTOGRAM("sim.chaos.delivered_fraction", 0.0, 1.0 + 1e-9, 20,
+                          rec.delivered_fraction);
+        POC_OBS_HISTOGRAM("sim.chaos.undelivered_gbps", 0.0, 1000.0, 50,
+                          rec.undelivered_gbps);
+
+        out.sla.push_back(rec);
+        if (opt.on_epoch) opt.on_epoch(out.sla.back());
+        if (rec.reauction_triggered) reauction(epoch);
     }
-    simulator.run();
     POC_ENSURES(out.sla.size() == opt.epochs);
 
     double sum = 0.0;

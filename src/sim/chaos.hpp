@@ -24,9 +24,9 @@
 //    emergency virtual capacity at contract prices when the selected
 //    set alone cannot carry the matrix), and emits an SLA record. When
 //    delivery drops below a threshold it fires an *off-cycle*
-//    re-auction restricted to the surviving offers through the
-//    discrete-event queue, so scenarios expose time-to-restore in
-//    epochs.
+//    re-auction restricted to the surviving offers right after the
+//    epoch's measurement; its backbone serves from the next epoch, so
+//    scenarios expose time-to-restore in epochs.
 #pragma once
 
 #include <functional>
@@ -36,6 +36,7 @@
 #include "core/flow_sim.hpp"
 #include "core/provisioning.hpp"
 #include "market/bid.hpp"
+#include "sim/engine.hpp"
 #include "topo/poc_topology.hpp"
 
 namespace poc::sim {
@@ -194,12 +195,12 @@ struct SlaRecord {
     bool degraded_mode = false;
 };
 
-struct ChaosOptions {
+struct ChaosOptions : EngineOptions {
     std::size_t epochs = 8;
     /// Initial provisioning request. Off-cycle re-auctions reuse it
     /// verbatim (minus withdrawn offers), so the auction engine knobs in
-    /// `request.auction` — `exact`, `threads`, `cache` — apply to every
-    /// recovery auction too. Parallel/cached re-auctions are bit-identical
+    /// `request.auction` — `exact`, `threads` — apply to every recovery
+    /// auction too. Parallel and memoized re-auctions are bit-identical
     /// to serial ones (DESIGN.md §5), so chaos outcomes are unaffected.
     core::ProvisioningRequest request;
     /// Fire an off-cycle re-auction when delivered_fraction drops below
@@ -213,42 +214,17 @@ struct ChaosOptions {
     /// rather than staying dark: graceful degradation over purity.
     bool allow_constraint_relaxation = true;
     /// Called right after each epoch's SLA record is measured (before
-    /// any off-cycle re-auction scheduled by that epoch runs). Benches
+    /// any off-cycle re-auction triggered by that epoch runs). Benches
     /// use it to capture per-epoch obs snapshots; a recovery re-auction
     /// triggered by epoch e therefore lands in epoch e+1's snapshot
     /// delta. Must not mutate chaos state.
     std::function<void(const SlaRecord&)> on_epoch;
-    /// Share one net::PathCache across the run: oracle primary-path
-    /// SSSPs (initial auction, pivots, re-auctions) and the flow
-    /// simulator's stretch pass reuse trees across the near-identical
-    /// masks they evaluate, with epoch-based invalidation. Safe across
-    /// the engine's brownout graph copies (capacity scaling preserves
-    /// lengths and link ids — the cache-key contract). Off = recompute
-    /// everything; outcomes are bit-identical either way.
-    bool use_path_cache = true;
-    /// Dynamic-repair budget for that shared cache (net/sssp_repair.hpp):
-    /// a near-miss mask within this many link flips of a cached tree is
-    /// served by patching the tree instead of a fresh Dijkstra. 0 = off.
-    /// Repaired trees are bit-identical to cold ones (DESIGN.md §7), so
-    /// this is purely an engine knob.
-    std::size_t path_cache_repair_budget = 8;
-    /// Carry one market::DeltaReclearState across the run's auctions
-    /// (initial provisioning and every off-cycle re-auction): re-clears
-    /// whose offered pool shrank or grew by at most
-    /// `request.auction.delta_max_links` links under an unchanged
-    /// context reuse the previous clearing's verdict/solve memo.
-    /// Bit-identical to cold re-clears either way (DESIGN.md §7).
-    bool use_delta_reclear = true;
     /// Data plane for the per-epoch flow measurement (DESIGN.md §9).
     /// kGreedy is the seed behavior; kPrimary routes every demand on
     /// its shortest path via the sharded engine. A *semantic* knob:
     /// SLA records differ between modes (it is part of the journal
-    /// fingerprint, unlike the two engine knobs below).
+    /// fingerprint, unlike the EngineOptions knobs).
     core::FlowRouting flow_routing = core::FlowRouting::kGreedy;
-    /// Shard tasks / threads for the kPrimary data plane (net/shard.hpp).
-    /// Engine knobs: outcomes are bit-identical for every value.
-    std::size_t flow_shards = 1;
-    std::size_t flow_threads = 1;
 };
 
 /// Full-run outcome: the SLA time series plus aggregates.

@@ -21,19 +21,6 @@ util::RngState read_rng_state(util::BinaryReader& r) {
     return st;
 }
 
-void write_links(util::BinaryWriter& w, const std::vector<net::LinkId>& links) {
-    w.u64(links.size());
-    for (const net::LinkId l : links) w.u32(l.value());
-}
-
-std::vector<net::LinkId> read_links(util::BinaryReader& r) {
-    const std::uint64_t n = r.u64();
-    std::vector<net::LinkId> links;
-    links.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) links.push_back(net::LinkId{r.u32()});
-    return links;
-}
-
 void write_epoch_record(util::BinaryWriter& w, const EpochRecord& rec) {
     w.u64(rec.epoch);
     w.boolean(rec.provisioned);
@@ -162,7 +149,7 @@ void ReplayCursor::apply(const DecodedRecord& rec) {
         }
         case kRecProvision: {
             const std::uint64_t epoch = r.u64();
-            std::vector<net::LinkId> selected = read_links(r);
+            std::vector<net::LinkId> selected = market::read_links(r);
             POC_EXPECTS(r.exhausted());
             POC_EXPECTS(has_pending && epoch == pending.epoch);
             POC_EXPECTS(pending.have_auction && !pending.have_provision);
@@ -188,7 +175,7 @@ void ReplayCursor::apply(const DecodedRecord& rec) {
         }
         case kRecSettlement: {
             const std::uint64_t epoch = r.u64();
-            const std::uint64_t n = r.u64();
+            const std::uint64_t n = r.count(core::kMinTransferBytes);
             std::vector<core::Transfer> transfers;
             transfers.reserve(n);
             for (std::uint64_t i = 0; i < n; ++i) {

@@ -42,11 +42,11 @@ inline constexpr std::uint16_t kRecDeltaFlag = 0x8000;
 void write_rng_state(util::BinaryWriter& w, const util::RngState& st);
 util::RngState read_rng_state(util::BinaryReader& r);
 
-void write_links(util::BinaryWriter& w, const std::vector<net::LinkId>& links);
-std::vector<net::LinkId> read_links(util::BinaryReader& r);
-
 void write_epoch_record(util::BinaryWriter& w, const EpochRecord& rec);
 EpochRecord read_epoch_record(util::BinaryReader& r);
+/// Encoded size of every EpochRecord: epoch, three flags, five f64
+/// measurements, the outlay and the retry count.
+inline constexpr std::size_t kEpochRecordBytes = 8 + 3 + 5 * 8 + 8 + 8;
 
 /// In-flight epoch: which stages have durable records, and the
 /// reconstructed results of the ones that do.

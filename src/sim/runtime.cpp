@@ -8,8 +8,6 @@
 #include <map>
 #include <utility>
 
-#include "core/flow_sim.hpp"
-#include "market/delta_reclear.hpp"
 #include "obs/trace.hpp"
 #include "sim/replay.hpp"
 #include "util/fault_injection.hpp"
@@ -82,7 +80,8 @@ RuntimeState decode_runtime_state(std::string_view bytes) {
         throw util::JournalError("unknown runtime-state version");
     }
     RuntimeState state;
-    const std::uint64_t n = r.u64();
+    // Every epoch carries a fixed-size record and an auction flag byte.
+    const std::uint64_t n = r.count(kEpochRecordBytes + 1);
     state.epochs.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) state.epochs.push_back(read_epoch_record(r));
     state.auctions.reserve(n);
@@ -113,13 +112,14 @@ struct EpochRuntime::Impl {
     RuntimeOutcome outcome;
     PendingEpoch pending;
     bool has_pending = false;
-    /// Shared across every epoch's oracle queries and flow sims (see
-    /// RuntimeOptions::use_path_cache); epoch-invalidated in run_epoch.
-    net::PathCache path_cache;
-    /// Cross-epoch auction warm start (RuntimeOptions::use_delta_reclear).
-    /// Process-local like the breaker: a restarted process starts cold,
-    /// which is safe because warm and cold clears are bit-identical.
-    market::DeltaReclearState delta_state;
+    /// The run's caches (sim/engine.hpp), shared across every epoch's
+    /// oracle queries and flow passes. Process-local like the breaker:
+    /// a restarted process starts cold, which is safe because warm and
+    /// cold clears are bit-identical.
+    Engine engine;
+    /// opt.request with the engine's caches wired in.
+    core::ProvisioningRequest request;
+    core::FlowSimOptions flow_opt;
     /// Last full payload per record type in the journal file — the
     /// delta-encoding bases for future appends. Rebuilt from the file
     /// on recovery, reset by compaction.
@@ -137,7 +137,9 @@ struct EpochRuntime::Impl {
           opt(std::move(opt_)),
           rng(opt.seed),
           retrier(opt.retry, opt.breaker),
-          path_cache(1, opt.path_cache_repair_budget) {
+          engine(opt),
+          request(engine.wire(opt.request)),
+          flow_opt(engine.flow_options(opt.flow_routing)) {
         POC_EXPECTS(opt.epochs >= 1);
         POC_EXPECTS(opt.demand_jitter >= 0.0 && opt.demand_jitter < 1.0);
         POC_EXPECTS(opt.snapshot_keep >= 1);
@@ -418,14 +420,8 @@ struct EpochRuntime::Impl {
         pending.breaker_open = retrier.breaker_state() == util::BreakerState::kOpen;
         const std::uint64_t attempts_before = retrier.stats().attempts;
 
-        market::OracleOptions oracle_opt = opt.request.oracle;
-        if (opt.use_path_cache) oracle_opt.path_cache = &path_cache;
-        market::AuctionOptions auction_opt = opt.request.auction;
-        if (opt.use_delta_reclear && auction_opt.delta == nullptr) {
-            auction_opt.delta = &delta_state;
-        }
-        const market::AcceptabilityOracle base(pool.graph(), epoch_tm, opt.request.constraint,
-                                               oracle_opt);
+        const market::AcceptabilityOracle base(pool.graph(), epoch_tm, request.constraint,
+                                               request.oracle);
         market::FallibleOracle::FaultHook fault;
         if (opt.oracle_fault) {
             fault = [this, epoch] { opt.oracle_fault(epoch); };
@@ -436,7 +432,7 @@ struct EpochRuntime::Impl {
         try {
             pending.auction = retrier.call([&](const util::Deadline& deadline) {
                 const DeadlineScope scope(guarded, deadline);
-                return market::run_auction(pool, guarded, auction_opt);
+                return market::run_auction(pool, guarded, request.auction);
             });
         } catch (const util::BreakerOpen&) {
             primary_failed = true;
@@ -451,8 +447,8 @@ struct EpochRuntime::Impl {
             // hammered.
             const market::AcceptabilityOracle relaxed(pool.graph(), epoch_tm,
                                                       market::ConstraintKind::kLoad,
-                                                      oracle_opt);
-            pending.auction = market::run_auction(pool, relaxed, auction_opt);
+                                                      request.oracle);
+            pending.auction = market::run_auction(pool, relaxed, request.auction);
             pending.degraded = pending.auction.has_value();
             if (pending.degraded) POC_OBS_INC("sim.runtime.degraded_epochs");
         }
@@ -494,7 +490,7 @@ struct EpochRuntime::Impl {
 
     void run_epoch(std::size_t epoch) {
         POC_OBS_SPAN("sim.runtime.epoch");
-        path_cache.advance_epoch();
+        engine.advance_epoch();
         if (!has_pending) {
             pending = PendingEpoch{};
             pending.epoch = epoch;
@@ -540,7 +536,7 @@ struct EpochRuntime::Impl {
             hook(epoch, Stage::kProvisioning, HookPoint::kMid);
             util::BinaryWriter w;
             w.u64(epoch);
-            write_links(w, pending.selected);
+            market::write_links(w, pending.selected);
             append(kRecProvision, w);
             pending.have_provision = true;
             hook(epoch, Stage::kProvisioning, HookPoint::kAfter);
@@ -554,11 +550,6 @@ struct EpochRuntime::Impl {
                     is_virtual[l.index()] = true;
                 }
                 const net::Subgraph backbone(pool.graph(), pending.selected);
-                core::FlowSimOptions flow_opt;
-                if (opt.use_path_cache) flow_opt.path_cache = &path_cache;
-                flow_opt.routing = opt.flow_routing;
-                flow_opt.flow_shards = opt.flow_shards;
-                flow_opt.sssp_threads = opt.flow_threads;
                 const core::FlowReport flows =
                     core::simulate_flows(backbone, epoch_tm, is_virtual, flow_opt);
                 pending.offered_gbps = flows.total_offered_gbps;

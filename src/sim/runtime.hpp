@@ -53,6 +53,7 @@
 #include "core/ledger.hpp"
 #include "core/provisioning.hpp"
 #include "sim/chaos.hpp"
+#include "sim/engine.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
 #include "util/state_history.hpp"
@@ -178,7 +179,10 @@ struct EpochCommit {
     const core::Ledger& ledger;
 };
 
-struct RuntimeOptions {
+/// The engine knobs (EngineOptions) are excluded from the journal's
+/// meta fingerprint, so a journaled run may resume with any of them
+/// flipped.
+struct RuntimeOptions : EngineOptions {
     std::size_t epochs = 4;
     /// Constraint, oracle fidelity, and auction engine knobs; reused
     /// verbatim every epoch.
@@ -204,45 +208,21 @@ struct RuntimeOptions {
     /// Per-epoch oracle fault hook, invoked on every oracle query of
     /// that epoch's primary clearing path. May throw
     /// util::TransientError (degraded oracle) or sleep (slow oracle).
-    /// Must be thread-safe when request.auction.threads > 1.
+    /// Must be thread-safe when request.auction.threads > 1. While a
+    /// hook is installed the oracle opts out of purity certification,
+    /// so every epoch clears cold whatever `use_delta_reclear` says.
     std::function<void(std::size_t)> oracle_fault;
-    /// Share one epoch-invalidated net::PathCache across the run's
-    /// clearing oracles and flow simulations. An engine knob like
-    /// `threads`/`cache`: excluded from the journal's configuration
-    /// fingerprint because results are bit-identical either way, so a
-    /// journaled run may resume with it flipped.
-    bool use_path_cache = true;
-    /// Dynamic-repair budget for that cache (net/sssp_repair.hpp): a
-    /// mask within this many link flips of a cached tree is served by
-    /// patching the tree instead of recomputing it. 0 = off. An engine
-    /// knob (bit-identical either way, excluded from the meta
-    /// fingerprint) — journaled runs may resume with it changed.
-    std::size_t path_cache_repair_budget = 8;
-    /// Carry one market::DeltaReclearState across the run's clearing
-    /// calls (market/delta_reclear.hpp): epochs whose offered pool and
-    /// oracle fingerprint match the previous clearing (e.g. jitter 0,
-    /// no faults) reuse its verdict/solve memo. Engine knob; excluded
-    /// from the meta fingerprint; bit-identical either way. With a
-    /// per-epoch oracle fault hook installed the oracle opts out of
-    /// purity certification and every epoch clears cold regardless.
-    bool use_delta_reclear = true;
     /// Data plane for the per-epoch flow measurement (DESIGN.md §9):
     /// kGreedy = seed water-filling, kPrimary = sharded shortest-path
     /// routing. A *semantic* knob — epoch records differ between the
-    /// modes — so unlike every engine knob here it IS part of the
+    /// modes — so unlike the EngineOptions knobs it IS part of the
     /// journal meta fingerprint: a journaled run cannot resume with it
     /// flipped.
     core::FlowRouting flow_routing = core::FlowRouting::kGreedy;
-    /// Shard task / thread counts for the kPrimary data plane
-    /// (net/shard.hpp). Engine knobs: results are bit-identical for
-    /// every value, so both are excluded from the meta fingerprint and
-    /// a journaled run may resume with them changed.
-    std::size_t flow_shards = 1;
-    std::size_t flow_threads = 1;
 
-    // --- State-history knobs (DESIGN.md §4c). All of these are engine
-    // knobs: results are bit-identical whatever their values, so they
-    // are excluded from the meta fingerprint and a journaled run may
+    // --- State-history knobs (DESIGN.md §4c). Like EngineOptions,
+    // results are bit-identical whatever their values, so they are
+    // excluded from the meta fingerprint and a journaled run may
     // resume with any of them flipped. ---
 
     /// Emit a full state snapshot every K completed epochs (0 = off).
@@ -268,8 +248,8 @@ struct RuntimeOptions {
     /// at per-append syscall cost; see util::Journal).
     bool fsync_journal = false;
     // --- Serving knobs (DESIGN.md §8). Observation only: the callback
-    // sees committed results and cannot perturb them, so — like every
-    // engine knob above — it is excluded from the meta fingerprint and
+    // sees committed results and cannot perturb them, so — like the
+    // engine knobs — it is excluded from the meta fingerprint and
     // a journaled run may resume with it attached or detached. ---
 
     /// Fired after each epoch's end record is durable (and once after

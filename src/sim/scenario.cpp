@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "market/delta_reclear.hpp"
 #include "topo/traffic.hpp"
 #include "util/rng.hpp"
 
@@ -85,111 +84,94 @@ std::vector<EpochOutcome> run_scenario(const market::OfferPool& initial_pool,
     net::TrafficMatrix tm = initial_tm;
     std::vector<EpochOutcome> outcomes;
 
-    // Shared tree cache across epochs (see ScenarioOptions): the pools
-    // built by with_withheld_links / with_scaled_bid keep the same
-    // Graph, so the cache-key contract (fixed link ids and lengths)
-    // holds for the whole scenario.
-    net::PathCache path_cache(1, opt.path_cache_repair_budget);
-    core::ProvisioningRequest request = opt.request;
-    core::FlowSimOptions flow_opt;
-    if (opt.use_path_cache) {
-        request.oracle.path_cache = &path_cache;
-        flow_opt.path_cache = &path_cache;
-    }
-    flow_opt.routing = opt.flow_routing;
-    flow_opt.flow_shards = opt.flow_shards;
-    flow_opt.sssp_threads = opt.flow_threads;
-    // Warm-start state across the scenario's per-epoch auctions: small
-    // offer-set deltas (withheld links, failures) reuse the previous
-    // epoch's memo; demand changes alter the oracle fingerprint and
-    // fall back to cold automatically.
-    market::DeltaReclearState delta_state;
-    if (opt.use_delta_reclear && request.auction.delta == nullptr) {
-        request.auction.delta = &delta_state;
-    }
+    // One engine across epochs: the pools built by with_withheld_links
+    // / with_scaled_bid keep the same Graph, so the path cache's key
+    // contract (fixed link ids and lengths) holds for the whole
+    // scenario. Small offer-set deltas (withheld links, failures) reuse
+    // the previous epoch's auction memo; demand changes alter the
+    // oracle fingerprint and fall back to cold automatically.
+    Engine engine(opt);
+    const core::ProvisioningRequest request = engine.wire(opt.request);
+    const core::FlowSimOptions flow_opt = engine.flow_options(opt.flow_routing);
 
     // Links failed so far (withheld from every future pool).
     std::optional<core::ProvisionedBackbone> last_backbone;
 
-    Simulator simulator;
     for (std::size_t epoch = 0; epoch < opt.epochs; ++epoch) {
-        simulator.schedule_at(static_cast<double>(epoch), [&, epoch](Simulator&) {
-            path_cache.advance_epoch();
-            EpochOutcome out;
-            out.epoch = epoch;
+        engine.advance_epoch();
+        EpochOutcome out;
+        out.epoch = epoch;
 
-            // Apply this epoch's events.
-            for (const ScenarioEvent& ev : events) {
-                if (ev.epoch != epoch) continue;
-                out.applied_events.push_back(describe(ev));
-                switch (ev.kind) {
-                    case ScenarioEvent::Kind::kDemandGrowth:
-                        tm = topo::scale_traffic(tm, ev.factor);
-                        break;
-                    case ScenarioEvent::Kind::kBpRecall: {
-                        const market::BpId bp{ev.bp};
-                        pool = market::with_withheld_links(pool, bp,
-                                                           recall_links(pool, bp, ev.fraction));
-                        break;
-                    }
-                    case ScenarioEvent::Kind::kLinkFailure: {
-                        // Fail random links from the last provisioned
-                        // backbone (failures hit in-service circuits).
-                        if (!last_backbone) break;
-                        auto active = last_backbone->selected.active_links();
-                        std::vector<net::LinkId> non_virtual;
-                        for (const net::LinkId l : active) {
-                            if (pool.is_offered(l) && !pool.is_virtual(l)) {
-                                non_virtual.push_back(l);
-                            }
+        // Apply this epoch's events.
+        for (const ScenarioEvent& ev : events) {
+            if (ev.epoch != epoch) continue;
+            out.applied_events.push_back(describe(ev));
+            switch (ev.kind) {
+                case ScenarioEvent::Kind::kDemandGrowth:
+                    tm = topo::scale_traffic(tm, ev.factor);
+                    break;
+                case ScenarioEvent::Kind::kBpRecall: {
+                    const market::BpId bp{ev.bp};
+                    pool = market::with_withheld_links(pool, bp,
+                                                       recall_links(pool, bp, ev.fraction));
+                    break;
+                }
+                case ScenarioEvent::Kind::kLinkFailure: {
+                    // Fail random links from the last provisioned
+                    // backbone (failures hit in-service circuits).
+                    if (!last_backbone) break;
+                    auto active = last_backbone->selected.active_links();
+                    std::vector<net::LinkId> non_virtual;
+                    for (const net::LinkId l : active) {
+                        if (pool.is_offered(l) && !pool.is_virtual(l)) {
+                            non_virtual.push_back(l);
                         }
-                        const std::size_t k = std::min(ev.count, non_virtual.size());
-                        const auto picks =
-                            rng.sample_without_replacement(non_virtual.size(), k);
-                        for (const std::size_t p : picks) {
-                            const net::LinkId failed = non_virtual[p];
-                            pool = market::with_withheld_links(pool, pool.owner(failed),
-                                                               {failed});
-                        }
-                        break;
                     }
-                    case ScenarioEvent::Kind::kPriceShift:
-                        pool = market::with_scaled_bid(pool, market::BpId{ev.bp}, ev.factor);
-                        break;
+                    const std::size_t k = std::min(ev.count, non_virtual.size());
+                    const auto picks =
+                        rng.sample_without_replacement(non_virtual.size(), k);
+                    for (const std::size_t p : picks) {
+                        const net::LinkId failed = non_virtual[p];
+                        pool = market::with_withheld_links(pool, pool.owner(failed),
+                                                           {failed});
+                    }
+                    break;
+                }
+                case ScenarioEvent::Kind::kPriceShift:
+                    pool = market::with_scaled_bid(pool, market::BpId{ev.bp}, ev.factor);
+                    break;
+            }
+        }
+
+        out.offered_links = pool.offered_links().size();
+        out.total_demand_gbps = net::total_demand(tm);
+
+        auto backbone = core::provision(pool, tm, request);
+        if (backbone) {
+            out.provisioned = true;
+            out.outlay = backbone->monthly_outlay();
+            out.selected_links = backbone->auction.selection.links.size();
+
+            double pob_sum = 0.0;
+            std::size_t winners = 0;
+            for (const market::BpOutcome& bo : backbone->auction.outcomes) {
+                if (!bo.selected_links.empty()) {
+                    pob_sum += bo.pob;
+                    ++winners;
                 }
             }
+            out.mean_pob = winners > 0 ? pob_sum / static_cast<double>(winners) : 0.0;
 
-            out.offered_links = pool.offered_links().size();
-            out.total_demand_gbps = net::total_demand(tm);
-
-            auto backbone = core::provision(pool, tm, request);
-            if (backbone) {
-                out.provisioned = true;
-                out.outlay = backbone->monthly_outlay();
-                out.selected_links = backbone->auction.selection.links.size();
-
-                double pob_sum = 0.0;
-                std::size_t winners = 0;
-                for (const market::BpOutcome& bo : backbone->auction.outcomes) {
-                    if (!bo.selected_links.empty()) {
-                        pob_sum += bo.pob;
-                        ++winners;
-                    }
-                }
-                out.mean_pob = winners > 0 ? pob_sum / static_cast<double>(winners) : 0.0;
-
-                std::vector<bool> is_virtual(pool.graph().link_count(), false);
-                for (const net::LinkId l : pool.virtual_links().links()) {
-                    is_virtual[l.index()] = true;
-                }
-                out.flows = core::simulate_flows(backbone->selected, tm, is_virtual, flow_opt);
-                last_backbone = std::move(backbone);
+            std::vector<bool> is_virtual(pool.graph().link_count(), false);
+            for (const net::LinkId l : pool.virtual_links().links()) {
+                is_virtual[l.index()] = true;
             }
-            outcomes.push_back(std::move(out));
-            if (opt.on_epoch) opt.on_epoch(outcomes.back());
-        });
+            out.flows = core::simulate_flows(backbone->selected, tm, is_virtual, flow_opt);
+            last_backbone = std::move(backbone);
+        }
+        outcomes.push_back(std::move(out));
+        if (opt.on_epoch) opt.on_epoch(outcomes.back());
     }
-    simulator.run();
     POC_ENSURES(outcomes.size() == opt.epochs);
     return outcomes;
 }

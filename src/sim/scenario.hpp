@@ -15,7 +15,7 @@
 #include "core/provisioning.hpp"
 #include "market/manipulation.hpp"
 #include "market/pricing.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/engine.hpp"
 
 namespace poc::sim {
 
@@ -55,28 +55,14 @@ struct EpochOutcome {
     std::vector<std::string> applied_events;
 };
 
-struct ScenarioOptions {
+struct ScenarioOptions : EngineOptions {
     std::size_t epochs = 4;
     core::ProvisioningRequest request;
     std::uint64_t seed = 99;
-    /// Share one net::PathCache across the scenario's auctions and flow
-    /// simulations (epoch-invalidated), exactly as the chaos engine
-    /// does. Outcomes are bit-identical with it on or off.
-    bool use_path_cache = true;
-    /// Dynamic-repair budget for that cache (net/sssp_repair.hpp); 0 =
-    /// off. Bit-identical either way.
-    std::size_t path_cache_repair_budget = 8;
-    /// Carry one market::DeltaReclearState across the scenario's
-    /// auctions (market/delta_reclear.hpp). Bit-identical either way.
-    bool use_delta_reclear = true;
     /// Data plane for the per-epoch flow measurement (DESIGN.md §9):
     /// kGreedy = seed behavior, kPrimary = sharded shortest-path
     /// routing. Semantic — epoch outcomes differ between modes.
     core::FlowRouting flow_routing = core::FlowRouting::kGreedy;
-    /// kPrimary shard/thread counts (engine knobs: bit-identical for
-    /// every value; ignored under kGreedy).
-    std::size_t flow_shards = 1;
-    std::size_t flow_threads = 1;
     /// Called after each epoch's outcome is measured (examples use it
     /// to dump per-epoch observability snapshots). Must not mutate
     /// scenario state.

@@ -89,6 +89,20 @@ public:
         return out;
     }
 
+    /// Length prefix of a sequence whose every element encodes to at
+    /// least `min_item_bytes` (>= 1) bytes. Throws JournalError when
+    /// the remaining bytes cannot hold that many elements, so a corrupt
+    /// prefix can never size an allocation beyond the input.
+    std::uint64_t count(std::size_t min_item_bytes) {
+        const std::uint64_t n = u64();
+        if (n > remaining() / min_item_bytes) {
+            throw JournalError("journal payload claims " + std::to_string(n) +
+                               " elements, more than its " + std::to_string(remaining()) +
+                               " remaining bytes can hold");
+        }
+        return n;
+    }
+
     std::size_t remaining() const noexcept { return buf_.size() - pos_; }
     bool exhausted() const noexcept { return pos_ == buf_.size(); }
 

@@ -181,13 +181,8 @@ TEST(FlowSim, FastPathOptionsAreBitIdentical) {
     net::PathCache cache;
     FlowSimOptions cached;
     cached.path_cache = &cache;
-    FlowSimOptions threaded;
-    threaded.sssp_threads = 4;
-    FlowSimOptions both;
-    both.path_cache = &cache;
-    both.sssp_threads = 4;
-    for (const FlowSimOptions* opt : {&cached, &threaded, &both}) {
-        const FlowReport r = simulate_flows(sg, tm, is_virtual, *opt);
+    for (int pass = 0; pass < 2; ++pass) {  // cold cache, then warm
+        const FlowReport r = simulate_flows(sg, tm, is_virtual, cached);
         // Exact equality across the board: the fast path must be
         // bit-identical to the default serial computation.
         EXPECT_EQ(r.total_offered_gbps, base.total_offered_gbps);

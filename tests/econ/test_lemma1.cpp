@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "econ/pricing_models.hpp"
 
@@ -16,6 +18,11 @@ struct Lemma1Case {
     std::shared_ptr<const DemandCurve> demand;
     double t_max;
 };
+
+// Print the label only. Without this gtest dumps the raw bytes of the
+// struct, which hold heap addresses, and the discovered test names would
+// change from build to build.
+void PrintTo(const Lemma1Case& c, std::ostream* os) { *os << c.label; }
 
 class Lemma1 : public ::testing::TestWithParam<Lemma1Case> {};
 
@@ -60,8 +67,7 @@ INSTANTIATE_TEST_SUITE_P(
         Lemma1Case{"linear", std::make_shared<LinearDemand>(100.0), 80.0},
         Lemma1Case{"exponential", std::make_shared<ExponentialDemand>(40.0), 120.0},
         Lemma1Case{"isoelastic", std::make_shared<IsoelasticDemand>(10.0, 2.5), 60.0},
-        Lemma1Case{"logistic", std::make_shared<LogisticDemand>(50.0, 12.0), 90.0}),
-    [](const ::testing::TestParamInfo<Lemma1Case>& param_info) { return param_info.param.label; });
+        Lemma1Case{"logistic", std::make_shared<LogisticDemand>(50.0, 12.0), 90.0}));
 
 }  // namespace
 }  // namespace poc::econ

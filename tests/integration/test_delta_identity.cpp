@@ -143,10 +143,11 @@ TEST(DeltaIdentity, RandomFlipWalkMatchesColdAcrossThreadsAndCache) {
                 market::AuctionOptions warm_opt;
                 warm_opt.threads = threads;
                 warm_opt.parallel_min_pivots = 1;
-                warm_opt.cache = cache;
                 warm_opt.delta = &state;
+                // The cold side: unmemoized, or a fresh per-auction memo.
+                market::DeltaReclearState fresh;
                 market::AuctionOptions cold_opt = warm_opt;
-                cold_opt.delta = nullptr;
+                cold_opt.delta = cache ? &fresh : nullptr;
 
                 const auto warm = market::run_auction(pool, oracle, warm_opt);
                 const auto cold = market::run_auction(pool, oracle, cold_opt);

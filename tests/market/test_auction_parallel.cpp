@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers/market.hpp"
+#include "market/delta_reclear.hpp"
 #include "market/pricing.hpp"
 #include "market/vcg.hpp"
 #include "net/path_cache.hpp"
@@ -61,9 +62,10 @@ TEST_P(ParallelAuctionProperty, RandomPoolsHeuristicSolver) {
 
     const auto baseline = run({});
     for (const EngineConfig& config : kConfigs) {
+        DeltaReclearState memo;  // fresh: a per-auction memo
         AuctionOptions opt;
         opt.threads = config.threads;
-        opt.cache = config.cache;
+        if (config.cache) opt.delta = &memo;
         const auto result = run(opt);
         ASSERT_EQ(baseline.has_value(), result.has_value()) << config.label;
         if (!baseline) continue;
@@ -96,10 +98,11 @@ TEST_P(ParallelAuctionProperty, RandomPoolsExactSolver) {
     serial.exact = true;
     const auto baseline = run(serial);
     for (const EngineConfig& config : kConfigs) {
+        DeltaReclearState memo;  // fresh: a per-auction memo
         AuctionOptions opt;
         opt.exact = true;
         opt.threads = config.threads;
-        opt.cache = config.cache;
+        if (config.cache) opt.delta = &memo;
         const auto result = run(opt);
         ASSERT_EQ(baseline.has_value(), result.has_value()) << config.label;
         if (baseline) expect_identical(*baseline, *result, config.label);
@@ -134,9 +137,10 @@ TEST_P(ParallelAuctionProperty, GeneratedTopologyFastOracle) {
 
     const auto baseline = run({});
     for (const EngineConfig& config : kConfigs) {
+        DeltaReclearState memo;  // fresh: a per-auction memo
         AuctionOptions opt;
         opt.threads = config.threads;
-        opt.cache = config.cache;
+        if (config.cache) opt.delta = &memo;
         const auto result = run(opt);
         ASSERT_EQ(baseline.has_value(), result.has_value()) << config.label;
         if (baseline) expect_identical(*baseline, *result, config.label);

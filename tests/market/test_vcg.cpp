@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers/market.hpp"
+#include "market/delta_reclear.hpp"
 
 namespace poc::market {
 namespace {
@@ -259,13 +260,36 @@ TEST(Vcg, HeuristicNegativeExternalityClampsToZero) {
     EXPECT_EQ(loser.payment, Money{});
 
     // The clamp must survive the parallel/cached engine unchanged.
+    DeltaReclearState memo;
     AuctionOptions par;
     par.threads = 8;
-    par.cache = true;
+    par.delta = &memo;
     const auto parallel = run_auction(pool, oracle, par);
     ASSERT_TRUE(parallel.has_value());
     EXPECT_EQ(parallel->outcome(BpId{1u}).payment, 11_usd);
     EXPECT_EQ(parallel->outcome(BpId{1u}).cost_without, 10_usd);
+}
+
+// Length prefixes are read from disk: an absurd count must surface as
+// a structured JournalError, never as std::length_error from sizing a
+// vector (recovery and followers catch only the structured errors).
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 61;
+
+TEST(AuctionCodec, HugeLinkCountIsAJournalError) {
+    util::BinaryWriter w;
+    w.u64(kHugeCount);  // selection.links
+    util::BinaryReader r(w.bytes());
+    EXPECT_THROW(read_auction_result(r), util::JournalError);
+}
+
+TEST(AuctionCodec, HugeOutcomeCountIsAJournalError) {
+    util::BinaryWriter w;
+    w.u64(0);           // selection.links: none
+    w.i64(0);           // selection.cost
+    w.i64(0);           // virtual_cost
+    w.u64(kHugeCount);  // outcomes
+    util::BinaryReader r(w.bytes());
+    EXPECT_THROW(read_auction_result(r), util::JournalError);
 }
 
 }  // namespace

@@ -286,7 +286,7 @@ TEST(ShardedPrimaryFlow, SimulateFlowsPrimaryReportInvariants) {
     for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
         core::FlowSimOptions opt2 = opt;
         opt2.flow_shards = shards;
-        opt2.sssp_threads = 3;
+        opt2.flow_threads = 3;
         const core::FlowReport b = core::simulate_flows(sg, tm, {}, opt2);
         EXPECT_EQ(a.total_routed_gbps, b.total_routed_gbps) << "shards " << shards;
         EXPECT_EQ(a.max_utilization, b.max_utilization) << "shards " << shards;

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "helpers/market.hpp"
+#include "market/delta_reclear.hpp"
 #include "market/pricing.hpp"
 #include "market/vcg.hpp"
 #include "obs/snapshot.hpp"
@@ -69,9 +70,10 @@ TEST_P(ObsDeterminism, AuctionUnaffectedByRegistryState) {
 
     // Parallel engine with obs instrumentation active on every pivot
     // thread (spans + counters from worker threads).
+    market::DeltaReclearState memo;
     AuctionOptions par;
     par.threads = 4;
-    par.cache = true;
+    par.delta = &memo;
     const auto parallel = run(par);
 
     ASSERT_EQ(baseline.has_value(), polluted.has_value());

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "helpers/market.hpp"
+#include "obs/metrics.hpp"
 
 namespace poc::sim {
 namespace {
@@ -121,6 +122,28 @@ TEST(Chaos, StricterConstraintBuysBetterDegradation) {
     EXPECT_EQ(r3.epochs_to_restore, 0u);
     EXPECT_LT(r1.min_delivered_fraction, r3.min_delivered_fraction);
 }
+
+#if POC_OBS_ENABLED
+// The off-cycle re-auction runs after the triggering epoch's on_epoch
+// callback and before the next epoch (ChaosOptions::on_epoch): a
+// snapshot taken in on_epoch(e) does not see it yet, one taken in
+// on_epoch(e+1) does.
+TEST(Chaos, ReauctionRunsAfterOnEpochAndBeforeTheNextEpoch) {
+    ChaosFixture fx;
+    const auto pool = fx.pool();
+    const std::vector<Fault> trace{conduit_cut(fx, 1, 2)};
+    ChaosOptions opt = fx.options(market::ConstraintKind::kLoad, 4);
+    const obs::Counter& reauctions = obs::registry().counter("sim.chaos.reauctions");
+    const std::uint64_t before = reauctions.value();
+    std::vector<std::uint64_t> seen;
+    opt.on_epoch = [&](const SlaRecord&) { seen.push_back(reauctions.value() - before); };
+
+    const ChaosOutcome r = run_chaos(pool, fx.tm, trace, opt);
+    ASSERT_TRUE(r.sla[1].reauction_triggered);
+    ASSERT_EQ(r.reauction_count, 1u);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 0, 1, 1}));
+}
+#endif
 
 TEST(Chaos, BrownoutDegradesPartiallyAndRepairs) {
     ChaosFixture fx;
@@ -273,7 +296,6 @@ TEST(Chaos, ParallelCachedReauctionsMatchSerial) {
     ChaosOptions serial = fx.options(market::ConstraintKind::kPerPairFailure, 6);
     ChaosOptions engine = serial;
     engine.request.auction.threads = 8;
-    engine.request.auction.cache = true;
 
     const ChaosOutcome base = run_chaos(pool, fx.tm, trace, serial);
     const ChaosOutcome r = run_chaos(pool, fx.tm, trace, engine);

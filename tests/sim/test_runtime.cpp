@@ -166,7 +166,7 @@ TEST_F(RuntimeTest, ResumeSurvivesPathCacheFlip) {
 }
 
 // The tentpole property: a process killed mid-stage at ANY stage of
-// ANY epoch — across engine configs (cache on/off, 1 and 8 threads) —
+// ANY epoch — across engine configs (delta memo on/off, 1 and 8 threads) —
 // recovers to bit-identical ledger balances, auction outcomes, and RNG
 // stream positions.
 TEST_F(RuntimeTest, CrashAnywhereReplaysBitIdentical) {
@@ -177,7 +177,7 @@ TEST_F(RuntimeTest, CrashAnywhereReplaysBitIdentical) {
 
     const struct {
         std::size_t threads;
-        bool cache;
+        bool memo;
     } configs[] = {{1, false}, {1, true}, {8, false}, {8, true}};
     int n = 0;
     for (const auto& cfg : configs) {
@@ -185,7 +185,7 @@ TEST_F(RuntimeTest, CrashAnywhereReplaysBitIdentical) {
             for (std::uint32_t stage = 0; stage < kStageCount; ++stage) {
                 RuntimeOptions crashed = opt;
                 crashed.request.auction.threads = cfg.threads;
-                crashed.request.auction.cache = cfg.cache;
+                crashed.use_delta_reclear = cfg.memo;
                 crashed.journal_path = journal("wal" + std::to_string(n++));
                 Fault crash;
                 crash.kind = FaultKind::kCrash;
@@ -196,7 +196,7 @@ TEST_F(RuntimeTest, CrashAnywhereReplaysBitIdentical) {
                                  "crash at epoch " + std::to_string(epoch) + " stage " +
                                      stage_name(static_cast<Stage>(stage)) + " threads " +
                                      std::to_string(cfg.threads) +
-                                     (cfg.cache ? " cache" : " nocache"));
+                                     (cfg.memo ? " memo" : " nomemo"));
                 EXPECT_GT(out.replayed_records, 0u) << "recovery must replay the journal";
             }
         }
@@ -324,9 +324,8 @@ TEST_F(RuntimeTest, ResumeSurvivesEngineConfigChange) {
 
     durable.stage_hook = nullptr;
     durable.request.auction.threads = 8;
-    durable.request.auction.cache = true;
     const RuntimeOutcome out = EpochRuntime(pool, tm, durable).run();
-    expect_identical(out, baseline, "resume under threads=8 cache=on");
+    expect_identical(out, baseline, "resume under threads=8");
 }
 
 TEST_F(RuntimeTest, FlakyOracleRecoversToHealthyOutcome) {

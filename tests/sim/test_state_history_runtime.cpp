@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "helpers/market.hpp"
+#include "sim/replay.hpp"
 #include "util/fault_injection.hpp"
 
 namespace poc::sim {
@@ -167,8 +168,36 @@ TEST_F(StateHistoryRuntimeTest, StateCodecIsByteStable) {
     EXPECT_THROW(decode_runtime_state(drift), util::JournalError);
 }
 
+// Length prefixes are read from disk: an absurd count must surface as
+// a structured JournalError (which recovery and followers catch), never
+// as std::length_error from sizing a vector.
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 61;
+
+TEST(RuntimeStateCodec, HugeEpochCountIsAJournalError) {
+    util::BinaryWriter w;
+    w.u64(1);           // state version
+    w.u64(kHugeCount);  // epochs
+    EXPECT_THROW(decode_runtime_state(w.bytes()), util::JournalError);
+}
+
+TEST(ReplayCursorCodec, HugeProvisionLinkCountIsAJournalError) {
+    util::BinaryWriter w;
+    w.u64(0);           // epoch
+    w.u64(kHugeCount);  // selected links
+    ReplayCursor cursor;
+    EXPECT_THROW(cursor.apply({kRecProvision, w.bytes(), 0}), util::JournalError);
+}
+
+TEST(ReplayCursorCodec, HugeSettlementCountIsAJournalError) {
+    util::BinaryWriter w;
+    w.u64(0);           // epoch
+    w.u64(kHugeCount);  // transfers
+    ReplayCursor cursor;
+    EXPECT_THROW(cursor.apply({kRecSettlement, w.bytes(), 0}), util::JournalError);
+}
+
 // Satellite (c): resuming from a snapshot equals linear replay — and a
-// from-scratch run — across all four engine configs (threads x cache).
+// from-scratch run — across all four engine configs (threads x memo).
 TEST_F(StateHistoryRuntimeTest, SnapshotResumeMatchesLinearReplayAcrossEngineConfigs) {
     const auto pool = fx_.pool();
     const auto tm = fx_.demand(8.0);
@@ -178,13 +207,13 @@ TEST_F(StateHistoryRuntimeTest, SnapshotResumeMatchesLinearReplayAcrossEngineCon
 
     const struct {
         std::size_t threads;
-        bool cache;
+        bool memo;
     } configs[] = {{1, false}, {1, true}, {8, false}, {8, true}};
     int n = 0;
     for (const auto& cfg : configs) {
         RuntimeOptions snap = opt;
         snap.request.auction.threads = cfg.threads;
-        snap.request.auction.cache = cfg.cache;
+        snap.use_delta_reclear = cfg.memo;
         snap.journal_path = journal("wal" + std::to_string(n++));
         snap.snapshot_interval = 2;
         Fault crash;
@@ -193,7 +222,7 @@ TEST_F(StateHistoryRuntimeTest, SnapshotResumeMatchesLinearReplayAcrossEngineCon
         crash.crash_stage = 2;  // kFlowSim
         const RuntimeOutcome out = run_with_recovery(pool, tm, snap, {crash});
         const std::string context = "threads " + std::to_string(cfg.threads) +
-                                    (cfg.cache ? " cache" : " nocache");
+                                    (cfg.memo ? " memo" : " nomemo");
         expect_identical(out, baseline, context);
         EXPECT_TRUE(out.resumed_from_snapshot) << context;
         EXPECT_EQ(out.snapshot_epochs, 2u) << context;

@@ -80,6 +80,23 @@ TEST(BinaryRoundTrip, ReaderThrowsOnUnderrun) {
     EXPECT_THROW(r2.str(), JournalError);
 }
 
+TEST(BinaryRoundTrip, CountIsBoundedByRemainingBytes) {
+    BinaryWriter w;
+    w.u64(2);
+    w.u32(7);
+    w.u32(9);
+    BinaryReader fits(w.bytes());
+    EXPECT_EQ(fits.count(sizeof(std::uint32_t)), 2u);
+    EXPECT_EQ(fits.remaining(), 8u);
+    BinaryReader too_wide(w.bytes());
+    EXPECT_THROW(too_wide.count(5), JournalError);  // 2 x 5 > 8 bytes left
+
+    BinaryWriter huge;
+    huge.u64(std::uint64_t{1} << 61);
+    BinaryReader r(huge.bytes());
+    EXPECT_THROW(r.count(1), JournalError);
+}
+
 TEST(Crc32, KnownVectors) {
     // IEEE 802.3 reference values.
     EXPECT_EQ(crc32(""), 0x00000000u);
