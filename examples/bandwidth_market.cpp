@@ -108,9 +108,12 @@ int main() {
                        "outlay", "mean PoB", "max util", "virt share"});
     for (const sim::EpochOutcome& o : outcomes) {
         std::string ev;
-        for (const auto& e : o.applied_events) ev += (ev.empty() ? "" : "; ") + e;
-        if (ev.empty()) ev = "-";
-        table.add_row({util::cell(o.epoch), ev, util::cell(o.offered_links),
+        for (const auto& e : o.applied_events) {
+            if (!ev.empty()) ev += "; ";
+            ev += e;
+        }
+        table.add_row({util::cell(o.epoch), ev.empty() ? std::string("-") : ev,
+                       util::cell(o.offered_links),
                        util::cell(o.selected_links), util::cell(o.total_demand_gbps, 0),
                        o.provisioned ? o.outlay.str() : "INFEASIBLE",
                        util::cell(o.mean_pob, 3), util::cell_pct(o.flows.max_utilization),

@@ -67,7 +67,6 @@ std::optional<std::uint64_t> delta_context(const OfferPool& pool, const Oracle& 
     h.add(*oracle_fp);
     h.add(opt.exact ? 1u : 0u);
     h.add(opt.windet.batch_size);
-    h.add(opt.windet.polish_pass ? 1u : 0u);
     return h.value();
 }
 

@@ -87,12 +87,10 @@ std::optional<Selection> select_links(const OfferPool& pool, const Oracle& oracl
         pass.try_remove(batch);
     }
 
-    if (opt.polish_pass) {
-        // Marginal costs shifted as the set shrank; one more single-link
-        // sweep in refreshed order catches stragglers.
-        for (const net::LinkId l : removal_order(pool, sg.active_links())) {
-            if (sg.is_active(l)) pass.try_remove({l});
-        }
+    // Marginal costs shifted as the set shrank; one more single-link
+    // sweep in refreshed order catches stragglers.
+    for (const net::LinkId l : removal_order(pool, sg.active_links())) {
+        if (sg.is_active(l)) pass.try_remove({l});
     }
 
     Selection sel;

@@ -32,8 +32,6 @@ struct Selection {
 struct WinnerDeterminationOptions {
     /// Initial reverse-deletion batch size; halves on rejection.
     std::size_t batch_size = 64;
-    /// Run a final pass attempting each retained link individually.
-    bool polish_pass = true;
 };
 
 /// Heuristic minimum-cost acceptable subset of `available`. Returns

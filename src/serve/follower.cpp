@@ -13,7 +13,6 @@
 #include "sim/replay.hpp"
 #include "util/contracts.hpp"
 #include "util/fault_injection.hpp"
-#include "util/rng.hpp"
 #include "util/state_history.hpp"
 
 namespace poc::serve {
@@ -52,7 +51,9 @@ struct Follower::Impl {
     const net::TrafficMatrix& tm;
     FollowerOptions opt;
     std::string meta;
-    util::HistoryReader reader;
+    /// The leader's snapshot generations, read-only: a follower never
+    /// prunes them or sweeps the leader's in-flight `.tmp` installs.
+    util::SnapshotStore store;
     std::shared_ptr<ViewHub> hub;
 
     // --- Tail-thread state (poll()/tail_until() are externally
@@ -65,11 +66,6 @@ struct Follower::Impl {
     std::map<std::uint16_t, std::string> delta_bases;
     std::size_t consumed_records = 0;
     std::uint64_t consumed_bytes = 0;
-    /// Completed epochs the grounding snapshot covered (records with a
-    /// lower epoch are consumed without applying until the first
-    /// apply).
-    std::uint64_t grounded = 0;
-    bool any_applied = false;
     bool bootstrapped = false;
     std::uint64_t generation = 0;
     std::size_t stall_polls = 0;
@@ -92,7 +88,7 @@ struct Follower::Impl {
           tm(tm_in),
           opt(std::move(opt_in)),
           meta(sim::runtime_meta_fingerprint(pool, tm, opt.runtime)),
-          reader(opt.runtime.journal_path, opt.runtime.snapshot_keep),
+          store(opt.runtime.journal_path, opt.runtime.snapshot_keep, /*read_only=*/true),
           hub(opt.hub ? opt.hub : std::make_shared<ViewHub>()) {
         POC_EXPECTS(!opt.runtime.journal_path.empty());
     }
@@ -113,30 +109,16 @@ struct Follower::Impl {
         }
     }
 
-    /// Reset the cursor to a fresh grounding: newest valid snapshot
-    /// (or the journal head when none survives) of the generation the
-    /// scan observed. Re-announces the grounded epoch through the hub
-    /// — the monotonic guard makes that idempotent or a no-op.
+    /// Reset the cursor to a fresh grounding (sim::ground_replay: the
+    /// newest usable snapshot, or the journal head when none survives)
+    /// of the generation the scan observed. Re-announces the grounded
+    /// epoch through the hub — the monotonic guard makes that
+    /// idempotent or a no-op.
     void ground(const util::Journal::ScanResult& scan) {
-        cursor = sim::ReplayCursor{};
-        cursor.state.rng = util::Rng(opt.runtime.seed).state();
+        cursor = sim::ground_replay(store, meta, opt.runtime.seed);
         delta_bases.clear();
         consumed_records = 0;
         consumed_bytes = scan.header_end;
-        grounded = 0;
-        any_applied = false;
-        if (const auto snap = reader.store().load_newest_valid(meta)) {
-            try {
-                sim::RuntimeState st = sim::decode_runtime_state(snap->payload);
-                POC_EXPECTS(st.epochs.size() == snap->completed_epochs);
-                cursor.state = std::move(st);
-                grounded = snap->completed_epochs;
-            } catch (const util::ContractViolation&) {
-                POC_OBS_INC("serve.follower.snapshot_decode_failures");
-            } catch (const util::JournalError&) {
-                POC_OBS_INC("serve.follower.snapshot_decode_failures");
-            }
-        }
         applied.store(cursor.state.epochs.size(), std::memory_order_relaxed);
         ++stats.rebootstraps;
         publish_current();
@@ -174,31 +156,20 @@ struct Follower::Impl {
                     break;
                 }
                 const sim::DecodedRecord& d = decoded[i];
-                const util::JournalRecord& raw = pending[i];
-                if (!any_applied && d.epoch < grounded) {
-                    // The grounding snapshot already covers this record
-                    // (the journal was not compacted at the boundary):
-                    // consume without applying, but keep it as the
-                    // delta base its successors resolve against.
-                    delta_bases[d.type] = d.payload;
-                    ++consumed_records;
-                    consumed_bytes += kFrameOverhead + raw.payload.size();
-                    continue;
+                if (opt.apply_hook && !cursor.covers(d)) {
+                    opt.apply_hook(consumed_records, d.type, d.epoch);
                 }
-                if (opt.apply_hook) opt.apply_hook(consumed_records, d.type, d.epoch);
-                try {
-                    cursor.apply(d);
-                } catch (const util::ContractViolation&) {
-                    res.structural = true;
-                    break;
-                } catch (const util::JournalError&) {
+                const sim::ReplayCursor::Step step = cursor.advance(d);
+                if (step == sim::ReplayCursor::Step::kRefused) {
                     res.structural = true;
                     break;
                 }
-                any_applied = true;
+                // A covered record is consumed too: it stays the delta
+                // base its successors resolve against.
                 delta_bases[d.type] = d.payload;
                 ++consumed_records;
-                consumed_bytes += kFrameOverhead + raw.payload.size();
+                consumed_bytes += kFrameOverhead + pending[i].payload.size();
+                if (step == sim::ReplayCursor::Step::kCovered) continue;
                 ++out.records_applied;
                 ++stats.records_applied;
                 if (d.type == sim::kRecEpochEnd) {

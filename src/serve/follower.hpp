@@ -1,11 +1,12 @@
 // The replicated read tier's replica process (DESIGN.md §8.6): a
 // serve::Follower is a read-only copy of the market daemon that never
-// touches the leader's write path. It bootstraps from the newest valid
-// snapshot next to the journal (util::HistoryReader — strictly
-// read-only, never sweeps the writer's temps), then incrementally
-// tails the live journal suffix with a persistent byte/record cursor,
-// applying records through sim::ReplayCursor — the exact same replay
-// path as crash recovery — and publishing an EpochView per completed
+// touches the leader's write path. It grounds through
+// sim::ground_replay, exactly as crash recovery does: the newest
+// snapshot next to the journal that validates and decodes, read through
+// a read-only util::SnapshotStore that never sweeps the writer's temps.
+// It then tails the live journal suffix with a persistent byte/record
+// cursor, applying records through sim::ReplayCursor (the same replay
+// path as recovery), and publishes an EpochView per completed
 // epoch into its own ViewHub. Because leader commits and follower
 // replays run the same state machine over the same bytes, a follower's
 // views are *bit-identical* to the leader's at every epoch

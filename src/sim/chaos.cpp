@@ -284,8 +284,11 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
         core::ProvisionedBackbone backbone;
         util::Money outlay;
         bool degraded_mode = false;
-    } st{.backbone = std::move(*initial)};
-    st.outlay = st.backbone.monthly_outlay();
+    } st{.graphs = {},
+         .pools = {},
+         .backbone = std::move(*initial),
+         .outlay = out.baseline_outlay,
+         .degraded_mode = false};
 
     // Per-link fault state at an epoch: hard-down mask plus surviving-
     // capacity factor (brownouts compound by taking the worst factor).
@@ -346,8 +349,7 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
 
         bool degraded_mode = false;
         auto backbone = core::provision(pool, tm, request);
-        if (!backbone && opt.allow_constraint_relaxation &&
-            request.constraint != market::ConstraintKind::kLoad) {
+        if (!backbone && request.constraint != market::ConstraintKind::kLoad) {
             core::ProvisioningRequest relaxed = request;
             relaxed.constraint = market::ConstraintKind::kLoad;
             backbone = core::provision(pool, tm, relaxed);
@@ -400,10 +402,8 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
             if (factor[l.index()] < 1.0) ++rec.links_degraded;
             operating.push_back(l);
         }
-        if (opt.allow_emergency_virtual) {
-            for (const net::LinkId l : base_pool.virtual_links().links()) {
-                if (!in_selected[l.index()]) operating.push_back(l);
-            }
+        for (const net::LinkId l : base_pool.virtual_links().links()) {
+            if (!in_selected[l.index()]) operating.push_back(l);
         }
 
         const net::Subgraph sg(*epoch_graph, operating);

@@ -111,9 +111,9 @@ struct Fault {
     /// Epochs until repair; the fault is active on epochs
     /// [start_epoch, start_epoch + repair_epochs).
     std::size_t repair_epochs = 1;
-    std::vector<net::LinkId> links;
+    std::vector<net::LinkId> links{};
     double capacity_factor = 0.0;
-    std::string description;
+    std::string description{};
     /// For kCrash only: the pipeline stage index (sim::Stage) the
     /// process dies in; ignored by every other kind.
     std::uint32_t crash_stage = 0;
@@ -206,13 +206,6 @@ struct ChaosOptions : EngineOptions {
     /// Fire an off-cycle re-auction when delivered_fraction drops below
     /// this threshold (default: any loss of delivery triggers one).
     double reauction_threshold = 0.999;
-    /// Shift overflow demand onto contracted-but-unselected virtual
-    /// links, paying their contract price for the epoch.
-    bool allow_emergency_virtual = true;
-    /// When a re-auction is infeasible under the configured resilience
-    /// constraint, retry with plain load feasibility (constraint #1)
-    /// rather than staying dark: graceful degradation over purity.
-    bool allow_constraint_relaxation = true;
     /// Called right after each epoch's SLA record is measured (before
     /// any off-cycle re-auction triggered by that epoch runs). Benches
     /// use it to capture per-epoch obs snapshots; a recovery re-auction

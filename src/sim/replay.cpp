@@ -3,6 +3,8 @@
 #include <cstring>
 #include <utility>
 
+#include "obs/metrics.hpp"
+#include "util/rng.hpp"
 #include "util/state_history.hpp"
 
 namespace poc::sim {
@@ -110,6 +112,43 @@ std::string runtime_meta_fingerprint(const market::OfferPool& pool,
     w.u64(tm.size());
     w.u64(f64_bits(net::total_demand(tm)));
     return w.bytes();
+}
+
+ReplayCursor ground_replay(const util::SnapshotStore& store, std::string_view meta,
+                           std::uint64_t seed, std::uint64_t target_epochs) {
+    ReplayCursor cursor;
+    cursor.state.rng = util::Rng(seed).state();
+    for (auto snap = store.load_at(target_epochs, meta); snap;
+         snap = store.load_at(snap->completed_epochs - 1, meta)) {
+        try {
+            RuntimeState st = decode_runtime_state(snap->payload);
+            if (st.epochs.size() == snap->completed_epochs) {
+                cursor.state = std::move(st);
+                cursor.grounded = snap->completed_epochs;
+                return cursor;
+            }
+        } catch (const util::ContractViolation&) {
+        } catch (const util::JournalError&) {
+        }
+        // CRC-valid but undecodable — what an older reader sees after a
+        // state-format version bump: fall back to an older generation.
+        POC_OBS_INC("sim.replay.snapshots_undecodable");
+        if (snap->completed_epochs == 0) break;
+    }
+    return cursor;
+}
+
+ReplayCursor::Step ReplayCursor::advance(const DecodedRecord& rec) {
+    if (covers(rec)) return Step::kCovered;
+    try {
+        apply(rec);
+    } catch (const util::ContractViolation&) {
+        return Step::kRefused;
+    } catch (const util::JournalError&) {
+        return Step::kRefused;
+    }
+    applied_any = true;
+    return Step::kApplied;
 }
 
 void ReplayCursor::apply(const DecodedRecord& rec) {

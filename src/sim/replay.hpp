@@ -1,27 +1,33 @@
-// Journal-replay machinery shared by every consumer of the runtime's
-// write-ahead log: crash recovery (sim::EpochRuntime), read-only
+// Journal-replay machinery shared by every reader of the runtime's
+// durable history: crash recovery (sim::EpochRuntime), read-only
 // point-in-time materialization (sim::materialize_state_at), and the
-// journal-tailing read replicas (serve::Follower). All three must
-// apply records through the *same* code path — bit-identity across
-// leader, recovery, and followers is a property test, and a second
-// replay implementation would be a place for it to silently break.
+// journal-tailing read replicas (serve::Follower). All three ground
+// through ground_replay() and apply records through ReplayCursor —
+// bit-identity across leader, recovery, and followers is a property
+// test, and a second grounding or replay implementation would be a
+// place for it to silently break.
 //
 // The pieces: the on-disk record-type constants, the per-stage payload
 // codecs, delta-frame resolution against the running per-type base map
 // (decode_records), the configuration fingerprint stored in the
-// journal header (runtime_meta_fingerprint), and the ReplayCursor
-// state machine that advances a RuntimeState one decoded record at a
-// time with parse-then-commit semantics.
+// journal header (runtime_meta_fingerprint), the one grounding
+// decision (ground_replay: which snapshot generation to start from),
+// and the ReplayCursor state machine that advances a RuntimeState one
+// decoded record at a time with parse-then-commit semantics, skipping
+// the records its grounding snapshot already covers.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/runtime.hpp"
 #include "util/journal.hpp"
+#include "util/state_history.hpp"
 
 namespace poc::sim {
 
@@ -104,18 +110,59 @@ std::string runtime_meta_fingerprint(const market::OfferPool& pool,
 /// Replay state machine shared by crash recovery (EpochRuntime::Impl),
 /// read-only point-in-time materialization (materialize_state_at), and
 /// the journal-tailing follower (serve::Follower): a RuntimeState plus
-/// the in-flight epoch, advanced one decoded record at a time. apply()
-/// is parse-then-commit — a record that is semantically impossible
-/// against the current state (out-of-order epoch, duplicated stage,
-/// truncated fields) throws *before* mutating anything, so callers can
-/// stop at the last good prefix.
+/// the in-flight epoch, advanced one decoded record at a time.
+/// Obtained from ground_replay(), which seeds it from a snapshot or
+/// from the run's seed.
 struct ReplayCursor {
     RuntimeState state;
     PendingEpoch pending;
     bool has_pending = false;
     std::size_t replayed_epochs = 0;
+    /// Completed epochs the grounding snapshot covered (0 = grounded on
+    /// the fresh-seed state).
+    std::uint64_t grounded = 0;
+    /// At least one record has been applied since grounding.
+    bool applied_any = false;
 
+    /// What advance() did with one record.
+    enum class Step : std::uint8_t {
+        kApplied,
+        /// Already part of the grounding snapshot: consumed, not applied.
+        kCovered,
+        /// Semantically impossible against the current state (out-of-
+        /// order epoch, duplicated stage, truncated fields). Nothing was
+        /// mutated; the good prefix ends before this record.
+        kRefused,
+    };
+
+    /// The grounding snapshot already holds `rec`: an epoch below
+    /// `grounded`, seen before the first apply (a journal that was not
+    /// compacted at the snapshot boundary still carries such records).
+    bool covers(const DecodedRecord& rec) const noexcept {
+        return !applied_any && rec.epoch < grounded;
+    }
+
+    /// Consume one record: skip it when covered, otherwise apply it.
+    /// Never throws on bad records — a refusal is the return value.
+    Step advance(const DecodedRecord& rec);
+
+    /// Apply one record unconditionally. Parse-then-commit: throws
+    /// util::ContractViolation or util::JournalError *before* mutating
+    /// anything when the record cannot extend the current state.
     void apply(const DecodedRecord& rec);
 };
+
+/// No target: ground on the newest generation.
+inline constexpr std::uint64_t kNewestEpoch = std::numeric_limits<std::uint64_t>::max();
+
+/// The one grounding decision for every reader of the durable history.
+/// Walks the snapshot generations in `store` newest-first, at or below
+/// `target_epochs`, and grounds on the first that validates (CRC
+/// framing), belongs to this configuration (`meta`), and decodes.
+/// Generations failing any of the three are skipped, so an older one —
+/// or, when none survives, the fresh state of `seed` — is the fallback.
+/// Never throws on bad snapshot bytes.
+ReplayCursor ground_replay(const util::SnapshotStore& store, std::string_view meta,
+                           std::uint64_t seed, std::uint64_t target_epochs = kNewestEpoch);
 
 }  // namespace poc::sim

@@ -56,6 +56,20 @@ private:
     market::FallibleOracle& oracle_;
 };
 
+/// The journal writer's frame rule: an XOR delta against the last full
+/// payload of the same type when that is smaller, else nullopt (write
+/// the full payload). `bases` tracks the full payload per type either
+/// way, so a later record can delta against this one.
+std::optional<std::string> delta_frame(std::map<std::uint16_t, std::string>& bases,
+                                       std::uint16_t type, const std::string& payload) {
+    const auto [it, first] = bases.try_emplace(type, payload);
+    if (first) return std::nullopt;
+    std::string delta = util::xor_delta_encode(it->second, payload);
+    it->second = payload;
+    if (delta.size() >= payload.size()) return std::nullopt;
+    return delta;
+}
+
 }  // namespace
 
 std::string encode_runtime_state(const RuntimeState& state) {
@@ -166,29 +180,18 @@ struct EpochRuntime::Impl {
         if (opt.stage_hook) opt.stage_hook(epoch, stage, point);
     }
 
-    /// Append one record, delta-encoding against the last payload of
-    /// the same type when that is smaller. The base map always tracks
-    /// the full payload so a later record can delta against this one.
+    /// Append one record under the journal's frame rule (delta_frame).
     void append(std::uint16_t type, const util::BinaryWriter& w) {
         const std::string& bytes = w.bytes();
         if (!journal.attached()) {
             journal.append(type, bytes);  // durability off: no-op write
             return;
         }
-        if (opt.delta_encoding) {
-            const auto it = delta_base.find(type);
-            if (it != delta_base.end()) {
-                std::string delta = util::xor_delta_encode(it->second, bytes);
-                if (delta.size() < bytes.size()) {
-                    it->second = bytes;
-                    journal.append(static_cast<std::uint16_t>(type | kRecDeltaFlag), delta);
-                    POC_OBS_COUNT("sim.runtime.delta_bytes_saved",
-                                  bytes.size() - delta.size());
-                    return;
-                }
-            }
+        if (const auto delta = delta_frame(delta_base, type, bytes)) {
+            journal.append(static_cast<std::uint16_t>(type | kRecDeltaFlag), *delta);
+            POC_OBS_COUNT("sim.runtime.delta_bytes_saved", bytes.size() - delta->size());
+            return;
         }
-        delta_base[type] = bytes;
         journal.append(type, bytes);
     }
 
@@ -221,18 +224,12 @@ struct EpochRuntime::Impl {
         frames.reserve(kept.size());
         std::map<std::uint16_t, std::string> bases;
         for (const DecodedRecord& d : kept) {
-            const auto it = bases.find(d.type);
-            if (it != bases.end() && opt.delta_encoding) {
-                std::string delta = util::xor_delta_encode(it->second, d.payload);
-                if (delta.size() < d.payload.size()) {
-                    it->second = d.payload;
-                    frames.push_back({static_cast<std::uint16_t>(d.type | kRecDeltaFlag),
-                                      std::move(delta)});
-                    continue;
-                }
+            if (auto delta = delta_frame(bases, d.type, d.payload)) {
+                frames.push_back({static_cast<std::uint16_t>(d.type | kRecDeltaFlag),
+                                  std::move(*delta)});
+            } else {
+                frames.push_back({d.type, d.payload});
             }
-            bases[d.type] = d.payload;
-            frames.push_back({d.type, d.payload});
         }
         util::Journal::RewriteStats stats;
         journal = util::Journal::rewrite(opt.journal_path, meta, frames, &stats,
@@ -244,10 +241,11 @@ struct EpochRuntime::Impl {
         }
     }
 
-    /// Recovery lattice: sweep stale temps, ground on the newest valid
-    /// snapshot, then replay only the journal suffix that extends it.
-    /// Defensive end to end — a corrupt snapshot falls back to an
-    /// older one (or the journal alone), and a journal whose content
+    /// Recovery lattice: sweep stale temps, ground (ground_replay) on
+    /// the newest snapshot that validates and decodes, then replay only
+    /// the journal suffix that extends it. Defensive end to end — a
+    /// corrupt, foreign or undecodable snapshot falls back to an older
+    /// one (or the journal alone), and a journal whose content
     /// cannot extend the grounded state is rewritten to its last good
     /// prefix with the rest recomputed deterministically. Never
     /// installs corrupt state; only a *foreign* journal (different
@@ -282,29 +280,11 @@ struct EpochRuntime::Impl {
                 " was written by a different run configuration; refusing to replay");
         }
 
-        // Ground on the newest snapshot that validates end to end
-        // (CRC, fingerprint) *and* decodes; anything less is skipped.
-        // The cursor starts at the fresh-seed state so a run with no
-        // usable history installs exactly what the constructor built.
-        ReplayCursor cursor;
-        cursor.state.rng = rng.state();
-        std::uint64_t grounded = 0;
-        if (store.enabled()) {
-            if (const auto snap = store.load_newest_valid(meta)) {
-                try {
-                    RuntimeState st = decode_runtime_state(snap->payload);
-                    POC_EXPECTS(st.epochs.size() == snap->completed_epochs);
-                    cursor.state = std::move(st);
-                    grounded = snap->completed_epochs;
-                    outcome.resumed_from_snapshot = true;
-                    outcome.snapshot_epochs = grounded;
-                    POC_OBS_INC("sim.runtime.snapshot_resumes");
-                } catch (const util::ContractViolation&) {
-                    POC_OBS_INC("sim.runtime.snapshots_undecodable");
-                } catch (const util::JournalError&) {
-                    POC_OBS_INC("sim.runtime.snapshots_undecodable");
-                }
-            }
+        ReplayCursor cursor = ground_replay(store, meta, opt.seed);
+        if (cursor.grounded > 0) {
+            outcome.resumed_from_snapshot = true;
+            outcome.snapshot_epochs = cursor.grounded;
+            POC_OBS_INC("sim.runtime.snapshot_resumes");
         }
 
         if (!opened) {
@@ -320,50 +300,36 @@ struct EpochRuntime::Impl {
         decode_records(scan.records, decoded, bases);
         bool bad_tail = decoded.size() < scan.records.size();
 
-        // Apply: skip records the grounding snapshot already covers,
-        // then defensively replay the suffix. The first record that
-        // cannot extend the current state (gap, duplicated frame,
-        // semantic garbage) ends the good prefix; everything past it
-        // is dropped and recomputed.
-        std::size_t applied_begin = 0;
-        bool any_applied = false;
-        std::size_t good = decoded.size();
-        std::size_t skipped = 0;
-        for (std::size_t i = 0; i < decoded.size(); ++i) {
-            if (!any_applied && decoded[i].epoch < grounded) {
-                ++skipped;
-                continue;
-            }
-            try {
-                cursor.apply(decoded[i]);
-            } catch (const util::ContractViolation&) {
-                good = i;
-                bad_tail = true;
-                break;
-            } catch (const util::JournalError&) {
-                good = i;
+        // Replay: the records the snapshot covers lead the journal; the
+        // first record that cannot extend the state after them (gap,
+        // duplicated frame, semantic garbage) ends the good prefix, and
+        // everything past it is dropped and recomputed.
+        std::size_t covered = 0;
+        std::size_t good = 0;
+        for (; good < decoded.size(); ++good) {
+            const ReplayCursor::Step step = cursor.advance(decoded[good]);
+            if (step == ReplayCursor::Step::kRefused) {
                 bad_tail = true;
                 break;
             }
-            if (!any_applied) {
-                any_applied = true;
-                applied_begin = i;
+            if (step == ReplayCursor::Step::kCovered) {
+                ++covered;
+            } else {
+                ++outcome.replayed_records;
             }
-            ++outcome.replayed_records;
         }
-        if (!any_applied) applied_begin = good;
         install_cursor(std::move(cursor));
 
-        if (bad_tail || skipped > 0) {
+        if (bad_tail || covered > 0) {
             const std::vector<DecodedRecord> kept(
-                decoded.begin() + static_cast<std::ptrdiff_t>(applied_begin),
+                decoded.begin() + static_cast<std::ptrdiff_t>(covered),
                 decoded.begin() + static_cast<std::ptrdiff_t>(good));
             rewrite_journal(meta, kept);
             if (bad_tail) {
                 outcome.journal_repaired = true;
                 POC_OBS_INC("sim.runtime.journal_repairs");
             }
-            if (skipped > 0) {
+            if (covered > 0) {
                 // The crash-between-snapshot-and-compaction path: the
                 // rewrite above doubles as the compaction that crash
                 // skipped.
@@ -440,7 +406,7 @@ struct EpochRuntime::Impl {
             primary_failed = true;
         }
 
-        if (primary_failed && opt.allow_constraint_relaxation) {
+        if (primary_failed) {
             // Graceful degradation (same contract as chaos recovery):
             // re-clear under plain load feasibility with a fresh,
             // healthy oracle — the sick dependency is bypassed, not
@@ -787,32 +753,18 @@ std::optional<RuntimeState> materialize_state_at(const market::OfferPool& pool,
     if (opt.journal_path.empty()) return std::nullopt;
     POC_OBS_SPAN("sim.runtime.materialize");
     const std::string meta = runtime_meta_fingerprint(pool, tm, opt);
-    const util::HistoryReader reader(opt.journal_path, opt.snapshot_keep);
-
-    // Ground exactly like recover(): fresh-seed state, upgraded to the
-    // newest decodable snapshot at or below the target.
-    ReplayCursor cursor;
-    cursor.state.rng = util::Rng(opt.seed).state();
-    std::uint64_t grounded = 0;
-    if (const auto snap = reader.snapshot_at(target_epochs, meta)) {
-        try {
-            RuntimeState st = decode_runtime_state(snap->payload);
-            POC_EXPECTS(st.epochs.size() == snap->completed_epochs);
-            cursor.state = std::move(st);
-            grounded = snap->completed_epochs;
-        } catch (const util::ContractViolation&) {
-            POC_OBS_INC("sim.runtime.snapshots_undecodable");
-        } catch (const util::JournalError&) {
-            POC_OBS_INC("sim.runtime.snapshots_undecodable");
-        }
-    }
+    // Read-only store: a reader never prunes or sweeps the writer's
+    // snapshot directory.
+    ReplayCursor cursor = ground_replay(
+        util::SnapshotStore(opt.journal_path, opt.snapshot_keep, /*read_only=*/true), meta,
+        opt.seed, target_epochs);
     if (cursor.state.epochs.size() == target_epochs) return std::move(cursor.state);
 
     // Read-only scan: never truncates, never takes an append handle,
     // so this is safe while a live runtime owns the journal.
     util::Journal::ScanResult scan;
     try {
-        reader.scan_journal(scan);
+        util::Journal::scan_file(opt.journal_path, scan);
     } catch (const util::JournalError&) {
         return std::nullopt;  // journal missing or header-corrupt
     }
@@ -821,19 +773,10 @@ std::optional<RuntimeState> materialize_state_at(const market::OfferPool& pool,
     std::vector<DecodedRecord> decoded;
     std::map<std::uint16_t, std::string> bases;
     decode_records(scan.records, decoded, bases);
-
-    bool any_applied = false;
     for (const DecodedRecord& d : decoded) {
         if (cursor.state.epochs.size() == target_epochs) break;
-        if (!any_applied && d.epoch < grounded) continue;
-        try {
-            cursor.apply(d);
-        } catch (const util::ContractViolation&) {
-            break;  // good prefix ends here; history cannot prove more
-        } catch (const util::JournalError&) {
-            break;
-        }
-        any_applied = true;
+        // A refusal ends the good prefix; history cannot prove more.
+        if (cursor.advance(d) == ReplayCursor::Step::kRefused) break;
     }
     if (cursor.state.epochs.size() != target_epochs) return std::nullopt;
     return std::move(cursor.state);

@@ -29,12 +29,14 @@
 // (epoch records, auction outcomes, ledger, RNG position) into a
 // versioned, CRC-framed snapshot file installed atomically next to the
 // journal, then compacts the journal down to the records the snapshot
-// does not cover (none, at a snapshot boundary). Recovery grounds on
-// the newest snapshot that validates end to end and replays only the
-// journal suffix past it, so restart cost is O(snapshot interval)
-// instead of O(history). Journal records are delta-encoded against the
-// prior record of the same type (varint + XOR runs), shrinking
-// steady-state log growth. Recovery is defensive: CRC-valid but
+// does not cover (none, at a snapshot boundary). Recovery grounds
+// through sim::ground_replay (sim/replay.hpp) — the newest snapshot
+// that validates end to end and decodes, older generations being the
+// fallback — and replays only the journal suffix past it, so restart
+// cost is O(snapshot interval) instead of O(history). Journal records
+// are delta-encoded against the prior record of the same type (varint
+// + XOR runs) whenever that is smaller, shrinking steady-state log
+// growth. Recovery is defensive: CRC-valid but
 // semantically impossible records (duplicated frames, suffixes the
 // surviving snapshot cannot ground) stop replay at the last good
 // prefix, the journal is rewritten to that prefix, and the remainder
@@ -199,9 +201,6 @@ struct RuntimeOptions : EngineOptions {
     /// breaker that persists across epochs within one process.
     util::RetryPolicy retry;
     util::BreakerPolicy breaker;
-    /// Degrade to the relaxed load-feasibility re-clear when the
-    /// primary path is exhausted; false = the epoch goes unprovisioned.
-    bool allow_constraint_relaxation = true;
     /// Test/chaos hook fired at every stage boundary (kBefore/kAfter)
     /// and mid-stage (kMid). May throw CrashInjected.
     std::function<void(std::size_t, Stage, HookPoint)> stage_hook;
@@ -234,9 +233,6 @@ struct RuntimeOptions : EngineOptions {
     /// records the snapshot does not cover (none, at a snapshot
     /// boundary) so the log stays O(snapshot interval).
     bool compact_after_snapshot = true;
-    /// Delta-encode journal records against the prior record of the
-    /// same type (varint + XOR runs) when that is smaller.
-    bool delta_encoding = true;
     /// Snapshot destination override (tests capture payloads). Null =
     /// a util::FileSnapshotSink over SnapshotStore(journal_path,
     /// snapshot_keep). A custom sink that does not durably store
@@ -287,7 +283,9 @@ std::string encode_runtime_state(const RuntimeState& state);
 
 /// Invert encode_runtime_state. Throws util::JournalError on
 /// malformed bytes (snapshot CRC framing normally rules that out;
-/// this guards against version drift).
+/// this guards against version drift). Readers of the durable history
+/// do not call it directly: sim::ground_replay does, and falls back to
+/// an older snapshot generation when it throws.
 RuntimeState decode_runtime_state(std::string_view bytes);
 
 struct RuntimeOutcome {
@@ -368,8 +366,8 @@ RuntimeOutcome run_with_recovery(const market::OfferPool& pool, const net::Traff
 /// Point-in-time query backend (ROADMAP "point-in-time queries"):
 /// reconstruct the complete runtime state as of exactly
 /// `target_epochs` completed epochs, grounding on the newest valid
-/// snapshot ≤ target (util::HistoryReader) and replaying only the
-/// journal suffix past it. Strictly read-only — the journal is scanned
+/// snapshot ≤ target (sim::ground_replay over a read-only
+/// SnapshotStore) and replaying only the journal suffix past it. Strictly read-only — the journal is scanned
 /// via Journal::scan_file, never truncated or reopened for append, so
 /// this is safe to call while a live runtime owns the same journal
 /// (the serve daemon's historical queries do). Returns nullopt when

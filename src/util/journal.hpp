@@ -188,8 +188,9 @@ public:
     /// exactly as open() does, but never truncate the file and never
     /// take an append handle. Safe to run against a journal the
     /// owning runtime still has open for append — the point-in-time
-    /// query path (util::HistoryReader) and the journal-tailing
-    /// follower (serve::Follower) read live journals this way.
+    /// query path (sim::materialize_state_at) and the journal-tailing
+    /// follower (serve::Follower), both grounded by sim::ground_replay,
+    /// read live journals this way.
     /// A torn tail is reported in `scan`, not repaired. Throws
     /// JournalError when the file is missing or its header is
     /// unreadable, like open().

@@ -268,33 +268,15 @@ std::vector<SnapshotInfo> SnapshotStore::list() const {
     return out;
 }
 
-std::optional<LoadedSnapshot> SnapshotStore::load_newest_valid(
-    std::string_view expect_meta) const {
-    const std::vector<SnapshotInfo> snaps = list();
-    for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
-        std::optional<LoadedSnapshot> snap = read_snapshot_file(it->path);
-        if (!snap) {
-            POC_OBS_INC("util.state_history.snapshots_rejected");
-            continue;  // corrupt: fall back to the next-older one
-        }
-        if (snap->meta != expect_meta) {
-            POC_OBS_INC("util.state_history.snapshots_foreign");
-            continue;  // a different run configuration's snapshot
-        }
-        return snap;
-    }
-    return std::nullopt;
-}
-
 std::optional<LoadedSnapshot> SnapshotStore::load_at(std::uint64_t target_epochs,
                                                      std::string_view expect_meta) const {
     const std::vector<SnapshotInfo> snaps = list();
     for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
         if (it->completed_epochs > target_epochs) continue;  // newer than the target
         std::optional<LoadedSnapshot> snap = read_snapshot_file(it->path);
-        if (!snap) {
+        if (!snap || snap->completed_epochs != it->completed_epochs) {
             POC_OBS_INC("util.state_history.snapshots_rejected");
-            continue;  // corrupt: fall back to the next-older one
+            continue;  // corrupt or misnamed: fall back to the next-older one
         }
         if (snap->meta != expect_meta) {
             POC_OBS_INC("util.state_history.snapshots_foreign");

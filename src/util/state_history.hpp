@@ -28,7 +28,8 @@
 //
 //  * SnapshotStore / SnapshotSink — the file-management layer: write
 //    with atomic install, enumerate `<base>.snap-<epoch>` files, load
-//    the newest valid one, prune old generations, and sweep stale
+//    the newest valid one at or below an epoch, prune old generations,
+//    and sweep stale
 //    `.tmp` leftovers from crashed installs. SnapshotSink is the
 //    emission interface the runtime calls every K epochs; tests
 //    substitute their own sink to capture payloads.
@@ -133,18 +134,13 @@ public:
     /// job); `.tmp` leftovers are not.
     std::vector<SnapshotInfo> list() const;
 
-    /// The newest snapshot that validates end to end *and* matches the
-    /// expected configuration fingerprint. Corrupt or foreign
-    /// snapshots are skipped (older generations are the fallback);
-    /// nullopt when none survive.
-    std::optional<LoadedSnapshot> load_newest_valid(std::string_view expect_meta) const;
-
-    /// Point-in-time variant: the newest valid, fingerprint-matching
-    /// snapshot covering at most `target_epochs` completed epochs —
-    /// the grounding point for "replay the journal suffix up to epoch
-    /// N". Same corrupt/foreign fallback as load_newest_valid; nullopt
-    /// when no generation ≤ target survives (callers then replay the
-    /// whole journal from scratch).
+    /// The newest snapshot covering at most `target_epochs` completed
+    /// epochs that validates end to end (framing, CRC, a header epoch
+    /// count matching its file name) *and* carries the expected
+    /// configuration fingerprint. Corrupt or foreign generations are
+    /// skipped (older ones are the fallback); nullopt when none ≤ target
+    /// survives. Readers ground through sim::ground_replay, which also
+    /// falls back past generations whose payload does not decode.
     std::optional<LoadedSnapshot> load_at(std::uint64_t target_epochs,
                                           std::string_view expect_meta) const;
 
@@ -170,47 +166,6 @@ public:
     virtual ~SnapshotSink() = default;
     virtual void emit(std::uint64_t completed_epochs, std::string_view meta,
                       std::string_view payload) = 0;
-};
-
-/// Read-only view over a run's history artifacts (journal + snapshot
-/// generations) for point-in-time queries: pick the newest valid
-/// snapshot ≤ the target epoch, then scan the journal *without*
-/// mutating it — the owning runtime may still hold the file open for
-/// append, so this side never truncates tails or takes write handles.
-/// The caller (sim::materialize_state_at) replays the record suffix on
-/// top of the snapshot.
-class HistoryReader {
-public:
-    HistoryReader() = default;
-    /// `journal_path` is the live journal; snapshots are discovered
-    /// next to it via SnapshotStore's `<base>.snap-<epochs>` naming.
-    /// The store is read-only: a HistoryReader never writes, prunes,
-    /// or sweeps the writer's snapshot directory (a follower must
-    /// leave a mid-install leader `.tmp` intact).
-    explicit HistoryReader(std::string journal_path, std::size_t keep = 2)
-        : journal_path_(std::move(journal_path)),
-          store_(journal_path_, keep, /*read_only=*/true) {}
-
-    const std::string& journal_path() const noexcept { return journal_path_; }
-    const SnapshotStore& store() const noexcept { return store_; }
-
-    /// Newest valid snapshot covering ≤ `target_epochs` (see
-    /// SnapshotStore::load_at). Nullopt → replay from the journal head.
-    std::optional<LoadedSnapshot> snapshot_at(std::uint64_t target_epochs,
-                                              std::string_view expect_meta) const {
-        return store_.load_at(target_epochs, expect_meta);
-    }
-
-    /// Read-only journal scan (Journal::scan_file): validates header
-    /// and record CRCs, reports — but never repairs — a torn tail.
-    /// Throws JournalError when the journal is missing or headerless.
-    void scan_journal(Journal::ScanResult& scan) const {
-        Journal::scan_file(journal_path_, scan);
-    }
-
-private:
-    std::string journal_path_;
-    SnapshotStore store_;
 };
 
 /// The default sink: write-through to a SnapshotStore.

@@ -241,7 +241,9 @@ TEST_P(PathCacheAuctionProperty, SharedTreeCacheIsBitIdentical) {
             ASSERT_EQ(baseline.has_value(), result.has_value());
             if (baseline) expect_identical(*baseline, *result, "path cache");
         }
-        if (baseline) EXPECT_GT(cache.stats().hits, 0u);
+        if (baseline) {
+            EXPECT_GT(cache.stats().hits, 0u);
+        }
     }
 }
 

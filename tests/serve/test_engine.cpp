@@ -286,7 +286,9 @@ TEST_F(ServeEngineTest, CompactionBoundsTheProvableRange) {
     for (const std::uint64_t n : {2u, 4u, 5u}) {
         const auto got = engine.at_epoch("auditor", n);
         EXPECT_EQ(got.code, ServeError::kOk) << "epochs=" << n;
-        if (got.view) EXPECT_EQ(got.view->completed_epochs, n);
+        if (got.view) {
+            EXPECT_EQ(got.view->completed_epochs, n);
+        }
     }
     // Dropped by compaction: epoch 1 and 3 predate the snapshots and
     // their journal records are gone.

@@ -141,11 +141,11 @@ TEST_F(FollowerTest, NFollowersTailALiveWriterBitIdentically) {
     opt.snapshot_interval = 2;  // compact-while-tailing
     std::map<std::uint64_t, std::string> leader;
 
-    constexpr int kFollowers = 3;
+    constexpr std::size_t kFollowers = 3;
     std::vector<std::map<std::uint64_t, std::string>> seen(kFollowers);
     std::vector<std::uint64_t> rebootstraps(kFollowers, 0);
     std::vector<std::thread> tails;
-    for (int i = 0; i < kFollowers; ++i) {
+    for (std::size_t i = 0; i < kFollowers; ++i) {
         tails.emplace_back([&, i] {
             FollowerOptions fopt;
             fopt.runtime = opt;
@@ -171,7 +171,7 @@ TEST_F(FollowerTest, NFollowersTailALiveWriterBitIdentically) {
     for (std::thread& t : tails) t.join();
     ASSERT_EQ(leader.size(), 8u);
 
-    for (int i = 0; i < kFollowers; ++i) {
+    for (std::size_t i = 0; i < kFollowers; ++i) {
         const std::string ctx = "follower " + std::to_string(i);
         expect_subset_identical(seen[i], leader, ctx);
         // Every follower converged to the final epoch.

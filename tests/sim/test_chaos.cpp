@@ -229,7 +229,9 @@ TEST(Chaos, FaultTraceIsDeterministicInSeed) {
         EXPECT_FALSE(f.links.empty());
         EXPECT_GE(f.capacity_factor, 0.0);
         EXPECT_LT(f.capacity_factor, 1.0);
-        if (f.kind == FaultKind::kBrownout) EXPECT_GT(f.capacity_factor, 0.0);
+        if (f.kind == FaultKind::kBrownout) {
+            EXPECT_GT(f.capacity_factor, 0.0);
+        }
         for (const net::LinkId l : f.links) {
             EXPECT_TRUE(pool.is_offered(l));
             EXPECT_FALSE(pool.is_virtual(l));  // contracted fallback is immune

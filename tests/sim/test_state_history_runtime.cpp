@@ -4,7 +4,9 @@
 // during snapshot/compaction, disk-fault injection (bit flips, torn
 // writes, duplicated frames, stale temps) over journal and snapshot
 // files, the supervisor's restart budget, and restart cost staying
-// O(snapshot interval) instead of O(history).
+// O(snapshot interval) instead of O(history). Every reader of the
+// history — recovery, point-in-time queries, followers — falls back
+// past a snapshot generation that does not decode.
 #include "sim/runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +19,8 @@
 #include <vector>
 
 #include "helpers/market.hpp"
+#include "serve/epoch_view.hpp"
+#include "serve/follower.hpp"
 #include "sim/replay.hpp"
 #include "util/fault_injection.hpp"
 
@@ -314,6 +318,94 @@ TEST_F(StateHistoryRuntimeTest, SnapshotCorruptAndTornWriteFaultsRecoverBitIdent
     EXPECT_EQ(out.restarts, 2u);
 }
 
+// A snapshot that passes its CRC check and carries the right
+// fingerprint but does not decode is what an older reader sees after a
+// state-format version bump. It must not strand any reader of the
+// history: recovery, point-in-time queries and followers all ground on
+// the next-older generation and stay bit-identical to the
+// uninterrupted run.
+TEST_F(StateHistoryRuntimeTest, UndecodableSnapshotFallsBackToOlderGeneration) {
+    const auto pool = fx_.pool();
+    const auto tm = fx_.demand(8.0);
+    RuntimeOptions opt = base_options();
+    opt.epochs = 6;
+    const RuntimeOutcome plain = EpochRuntime(pool, tm, opt).run();
+    const auto view_bytes = [&pool](const auto& state) {
+        return serve::encode_epoch_view(*serve::build_epoch_view(pool.graph(), state));
+    };
+
+    enum class History { kCompacted, kUncompacted, kCrashBeforeCompaction };
+    for (const History history :
+         {History::kCompacted, History::kUncompacted, History::kCrashBeforeCompaction}) {
+        const std::string ctx = "history " + std::to_string(static_cast<int>(history));
+        RuntimeOptions snap = opt;
+        snap.journal_path = journal("wal" + std::to_string(static_cast<int>(history)));
+        snap.snapshot_interval = 2;
+        snap.snapshot_keep = 3;
+        snap.compact_after_snapshot = history != History::kUncompacted;
+        std::map<std::uint64_t, std::string> leader_views;
+        RuntimeOptions leader = snap;
+        leader.on_epoch_commit = [&](const EpochCommit& c) {
+            leader_views[c.completed_epochs] = view_bytes(c);
+        };
+        if (history == History::kCrashBeforeCompaction) {
+            // snap-6 installed, the journal still holds epochs 4 and 5.
+            leader.stage_hook = [](std::size_t epoch, Stage stage, HookPoint p) {
+                if (epoch == 6 && stage == Stage::kCompaction && p == HookPoint::kMid) {
+                    throw CrashInjected(epoch, stage, p);
+                }
+            };
+            EXPECT_THROW(EpochRuntime(pool, tm, leader).run(), CrashInjected) << ctx;
+        } else {
+            EpochRuntime(pool, tm, leader).run();
+        }
+        ASSERT_EQ(leader_views.size(), 6u) << ctx;
+
+        const util::SnapshotStore store(snap.journal_path, snap.snapshot_keep);
+        util::write_snapshot_file(store.path_for(6), 6,
+                                  runtime_meta_fingerprint(pool, tm, snap),
+                                  "not a runtime state");
+        // A compacted history can prove epoch 4 only; the others reach 6.
+        const std::uint64_t provable = history == History::kCompacted ? 4 : 6;
+
+        // Point-in-time queries ground on snap-4.
+        for (std::uint64_t n = 4; n <= provable; ++n) {
+            const auto state = materialize_state_at(pool, tm, snap, n);
+            ASSERT_TRUE(state.has_value()) << ctx << " at " << n;
+            EXPECT_EQ(view_bytes(*state), leader_views[n]) << ctx << " at " << n;
+        }
+
+        // A follower grounds on snap-4, publishes its view, and applies
+        // only the journal suffix past it.
+        serve::FollowerOptions fopt;
+        fopt.runtime = snap;
+        fopt.max_records_per_poll = 1;
+        serve::Follower follower(pool, tm, fopt);
+        std::map<std::uint64_t, std::string> seen;
+        for (int polls = 0; polls < 64 && follower.applied_epochs() < provable; ++polls) {
+            follower.poll();
+            if (const auto v = follower.current()) {
+                seen.emplace(v->completed_epochs, encode_epoch_view(*v));
+            }
+        }
+        EXPECT_EQ(follower.status(), serve::FollowerStatus::kTailing) << ctx;
+        EXPECT_EQ(follower.applied_epochs(), provable) << ctx;
+        EXPECT_EQ(follower.stats().records_applied, 6 * (provable - 4)) << ctx;
+        EXPECT_EQ(seen.size(), provable - 3) << ctx;
+        EXPECT_EQ(seen.empty() ? 0 : seen.begin()->first, 4u) << ctx;
+        for (const auto& [n, bytes] : seen) {
+            EXPECT_EQ(bytes, leader_views[n]) << ctx << " follower view " << n;
+        }
+
+        // Recovery grounds on snap-4 too, and finishes bit-identical.
+        const RuntimeOutcome again = EpochRuntime(pool, tm, snap).run();
+        expect_identical(again, plain, ctx);
+        EXPECT_TRUE(again.resumed_from_snapshot) << ctx;
+        EXPECT_EQ(again.snapshot_epochs, 4u) << ctx;
+        EXPECT_EQ(again.replayed_records, 6 * (provable - 4)) << ctx;
+    }
+}
+
 // The tentpole property: whatever single corruption lands on the
 // journal or the newest snapshot between crash and restart — torn
 // writes at sampled byte offsets, single-bit flips, duplicated frames,
@@ -484,7 +576,7 @@ TEST_F(StateHistoryRuntimeTest, KnobFlipsAcrossRestartStayBitIdentical) {
     RuntimeOptions opt = base_options();
     const RuntimeOutcome baseline = EpochRuntime(pool, tm, opt).run();
 
-    // Segment 1: delta encoding on, fsync on. Crash mid-run.
+    // Segment 1: snapshots on, fsync on. Crash mid-run.
     RuntimeOptions first = opt;
     first.journal_path = journal("wal");
     first.snapshot_interval = 2;
@@ -498,13 +590,12 @@ TEST_F(StateHistoryRuntimeTest, KnobFlipsAcrossRestartStayBitIdentical) {
     };
     EXPECT_THROW(EpochRuntime(pool, tm, first).run(), CrashInjected);
 
-    // Segment 2: delta encoding off, fsync off, snapshots off. The
+    // Segment 2: fsync off, snapshots off. The
     // snapshot store is still consulted on recovery (the crashed
     // process had snapshots on), so grounding works anyway.
     RuntimeOptions second = opt;
     second.journal_path = first.journal_path;
     second.snapshot_interval = 0;
-    second.delta_encoding = false;
     const RuntimeOutcome out = EpochRuntime(pool, tm, second).run();
     expect_identical(out, baseline, "resume with every state-history knob flipped");
     EXPECT_TRUE(out.resumed_from_snapshot);

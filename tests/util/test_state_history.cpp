@@ -16,6 +16,9 @@
 namespace poc::util {
 namespace {
 
+/// load_at target that admits every generation.
+constexpr std::uint64_t kNewest = ~std::uint64_t{0};
+
 class StateHistoryTest : public ::testing::Test {
 protected:
     void SetUp() override {
@@ -228,26 +231,26 @@ TEST_F(StateHistoryTest, LoadNewestValidFallsBackPastCorruptAndForeign) {
     store.write(12, "mine", "twelve");
 
     // Newest wins when everything validates.
-    auto snap = store.load_newest_valid("mine");
+    auto snap = store.load_at(kNewest, "mine");
     ASSERT_TRUE(snap.has_value());
     EXPECT_EQ(snap->completed_epochs, 12u);
 
     // Corrupt the newest: the next-older generation answers.
     FaultyFile::flip_bit(store.path_for(12), 20, 2);
-    snap = store.load_newest_valid("mine");
+    snap = store.load_at(kNewest, "mine");
     ASSERT_TRUE(snap.has_value());
     EXPECT_EQ(snap->completed_epochs, 8u);
     EXPECT_EQ(snap->payload, "eight");
 
     // A foreign configuration's snapshot is skipped, not loaded.
     write_snapshot_file(store.path_for(8), 8, "theirs", "not-yours");
-    snap = store.load_newest_valid("mine");
+    snap = store.load_at(kNewest, "mine");
     ASSERT_TRUE(snap.has_value());
     EXPECT_EQ(snap->completed_epochs, 4u);
 
     // Nothing survives: nullopt, never a throw.
     FaultyFile::tear_at(store.path_for(4), 3);
-    EXPECT_FALSE(store.load_newest_valid("mine").has_value());
+    EXPECT_FALSE(store.load_at(kNewest, "mine").has_value());
 }
 
 TEST_F(StateHistoryTest, LoadAtPicksNewestGenerationAtOrBelowTarget) {
@@ -289,7 +292,17 @@ TEST_F(StateHistoryTest, LoadAtFallsBackPastCorruptAndForeignGenerations) {
     EXPECT_EQ(store.load_at(12, "mine")->completed_epochs, 12u);
 }
 
-TEST_F(StateHistoryTest, HistoryReaderGroundsAndScansReadOnly) {
+TEST_F(StateHistoryTest, LoadAtRejectsAGenerationMisnamedForItsHeader) {
+    const SnapshotStore store(path("journal"), /*keep=*/4);
+    store.write(4, "mine", "four");
+    // CRC-valid, right fingerprint, but installed under another
+    // generation's name: not a valid generation 8.
+    write_snapshot_file(store.path_for(8), 12, "mine", "twelve");
+    EXPECT_EQ(store.load_at(kNewest, "mine")->completed_epochs, 4u);
+    EXPECT_EQ(store.load_at(8, "mine")->payload, "four");
+}
+
+TEST_F(StateHistoryTest, ReadOnlyStoreAndScanReadALiveHistory) {
     // A runtime-shaped layout: live journal + snapshot generations
     // next to it, with the writer still holding the append handle.
     const std::string jp = path("journal");
@@ -299,24 +312,22 @@ TEST_F(StateHistoryTest, HistoryReaderGroundsAndScansReadOnly) {
     store.write(1, "run-meta", "state@1");
     writer.append(1, "epoch-1");
 
-    const HistoryReader reader(jp);
-    EXPECT_EQ(reader.journal_path(), jp);
-
-    auto snap = reader.snapshot_at(1, "run-meta");
+    const SnapshotStore reader(jp, /*keep=*/2, /*read_only=*/true);
+    auto snap = reader.load_at(1, "run-meta");
     ASSERT_TRUE(snap.has_value());
     EXPECT_EQ(snap->completed_epochs, 1u);
     EXPECT_EQ(snap->payload, "state@1");
-    EXPECT_FALSE(reader.snapshot_at(0, "run-meta").has_value());
+    EXPECT_FALSE(reader.load_at(0, "run-meta").has_value());
 
     Journal::ScanResult scan;
-    reader.scan_journal(scan);
+    Journal::scan_file(jp, scan);
     EXPECT_EQ(scan.meta, "run-meta");
     ASSERT_EQ(scan.records.size(), 2u);
 
     // The scan is read-only: the live writer keeps appending and the
     // next scan sees its record.
     writer.append(1, "epoch-2");
-    reader.scan_journal(scan);
+    Journal::scan_file(jp, scan);
     ASSERT_EQ(scan.records.size(), 3u);
     EXPECT_EQ(scan.records[2].payload, "epoch-2");
 }
@@ -336,8 +347,8 @@ TEST_F(StateHistoryTest, SweepRemovesOnlyStaleTemps) {
 }
 
 TEST_F(StateHistoryTest, ReadOnlyStoreObservesButNeverMutates) {
-    // Writer-only temp-file ownership: a follower's (HistoryReader's)
-    // store must never write, prune, or sweep — a "stale" .tmp next to
+    // Writer-only temp-file ownership: a follower's or point-in-time
+    // reader's store must never write, prune, or sweep — a "stale" .tmp next to
     // the journal may be the live leader mid-install.
     const SnapshotStore writer(path("journal"), /*keep=*/2);
     writer.write(4, "m", "four");
@@ -350,7 +361,7 @@ TEST_F(StateHistoryTest, ReadOnlyStoreObservesButNeverMutates) {
 
     // Reads all work.
     EXPECT_EQ(ro.list().size(), 2u);
-    auto snap = ro.load_newest_valid("m");
+    auto snap = ro.load_at(kNewest, "m");
     ASSERT_TRUE(snap.has_value());
     EXPECT_EQ(snap->completed_epochs, 8u);
 
@@ -361,19 +372,13 @@ TEST_F(StateHistoryTest, ReadOnlyStoreObservesButNeverMutates) {
     EXPECT_EQ(ro.sweep_stale_temps(), 0u);
     EXPECT_EQ(ro.list().size(), 2u);
     EXPECT_TRUE(std::filesystem::exists(writer.path_for(12) + ".tmp"));
-
-    // The HistoryReader's store is always the read-only flavor.
-    const HistoryReader reader(path("journal"));
-    EXPECT_TRUE(reader.store().read_only());
-    EXPECT_EQ(reader.store().sweep_stale_temps(), 0u);
-    EXPECT_TRUE(std::filesystem::exists(writer.path_for(12) + ".tmp"));
 }
 
 TEST_F(StateHistoryTest, DisabledStoreIsInert) {
     const SnapshotStore store;
     EXPECT_FALSE(store.enabled());
     EXPECT_TRUE(store.list().empty());
-    EXPECT_FALSE(store.load_newest_valid("m").has_value());
+    EXPECT_FALSE(store.load_at(kNewest, "m").has_value());
     EXPECT_EQ(store.prune(), 0u);
     EXPECT_EQ(store.sweep_stale_temps(), 0u);
 }
@@ -381,7 +386,7 @@ TEST_F(StateHistoryTest, DisabledStoreIsInert) {
 TEST_F(StateHistoryTest, FileSnapshotSinkWritesThrough) {
     FileSnapshotSink sink{SnapshotStore(path("journal"), 2)};
     sink.emit(4, "m", "payload");
-    const auto snap = sink.store().load_newest_valid("m");
+    const auto snap = sink.store().load_at(kNewest, "m");
     ASSERT_TRUE(snap.has_value());
     EXPECT_EQ(snap->completed_epochs, 4u);
     EXPECT_EQ(snap->payload, "payload");
