@@ -14,7 +14,8 @@
 // (a) PoB varies strongly across BPs and (b) margins grow as the
 // constraint tightens.
 //
-// Environment knobs: POC_FIG2_QUICK=1 shrinks the instance (~10 s);
+// Environment knobs: POC_FIG2_QUICK=1 shrinks the instance (under 1 s;
+// CI diffs its table against bench/golden/fig2_auction_quick.txt);
 // POC_FIG2_SEED overrides the topology seed.
 #include <chrono>
 #include <cstdlib>

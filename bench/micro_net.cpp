@@ -95,9 +95,8 @@ std::vector<std::vector<net::LinkId>> serial_primary_paths(const net::Subgraph& 
     std::vector<std::vector<net::LinkId>> out(tm.size());
     for (std::size_t j = 0; j < tm.size(); ++j) {
         if (tm[j].gbps <= 0.0) continue;
-        if (auto wp = net::shortest_path(sg, tm[j].src, tm[j].dst, w)) {
-            out[j] = std::move(wp->links);
-        }
+        const net::ShortestPathTree tree = net::dijkstra(sg, tm[j].src, w);
+        if (tree.reachable(tm[j].dst)) out[j] = tree.path_to(tm[j].dst);
     }
     return out;
 }

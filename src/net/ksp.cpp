@@ -7,32 +7,30 @@ namespace poc::net {
 
 namespace {
 
+double link_weight(const LinkWeight& weight, LinkId l) { return weight(l); }
+double link_weight(const LinkWeightArray& weight, LinkId l) { return weight[l.index()]; }
+
 /// Total weight of a link sequence.
-double path_weight(const std::vector<LinkId>& links, const LinkWeight& weight) {
+template <class Weight>
+double path_weight(const std::vector<LinkId>& links, const Weight& weight) {
     double w = 0.0;
-    for (const LinkId l : links) w += weight(l);
+    for (const LinkId l : links) w += link_weight(weight, l);
     return w;
 }
 
-}  // namespace
-
-std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
-                                         const LinkWeight& weight, std::size_t k) {
-    SsspWorkspace ws;
-    return yen_k_shortest(sg, src, dst, weight, k, ws);
-}
-
-std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
-                                         const LinkWeight& weight, std::size_t k,
-                                         SsspWorkspace& ws) {
+/// Yen's loop from the first (shortest) path onward. `Weight` is a
+/// LinkWeight or a LinkWeightArray; both feed shortest_path the same
+/// doubles, so the paths are identical for equal weights.
+template <class Weight>
+std::vector<WeightedPath> yen_from_first(const Subgraph& sg, NodeId src, NodeId dst,
+                                         const Weight& weight, std::size_t k,
+                                         SsspWorkspace& ws, WeightedPath first) {
     POC_EXPECTS(k >= 1);
     POC_EXPECTS(src != dst);
     const Graph& g = sg.graph();
 
     std::vector<WeightedPath> result;
-    auto first = shortest_path(sg, src, dst, weight, ws);
-    if (!first) return result;
-    result.push_back(std::move(*first));
+    result.push_back(std::move(first));
 
     // Candidate set ordered by weight; dedup on link sequence.
     auto cmp = [](const WeightedPath& a, const WeightedPath& b) {
@@ -106,6 +104,30 @@ std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId 
         if (!advanced) break;  // path space exhausted
     }
     return result;
+}
+
+}  // namespace
+
+std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
+                                         const LinkWeight& weight, std::size_t k) {
+    SsspWorkspace ws;
+    return yen_k_shortest(sg, src, dst, weight, k, ws);
+}
+
+std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
+                                         const LinkWeight& weight, std::size_t k,
+                                         SsspWorkspace& ws) {
+    POC_EXPECTS(k >= 1);
+    POC_EXPECTS(src != dst);
+    auto first = shortest_path(sg, src, dst, weight, ws);
+    if (!first) return {};
+    return yen_from_first(sg, src, dst, weight, k, ws, std::move(*first));
+}
+
+std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
+                                         const LinkWeightArray& weight, std::size_t k,
+                                         SsspWorkspace& ws, WeightedPath first) {
+    return yen_from_first(sg, src, dst, weight, k, ws, std::move(first));
 }
 
 }  // namespace poc::net

@@ -24,4 +24,14 @@ std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId 
                                          const LinkWeight& weight, std::size_t k,
                                          SsspWorkspace& ws);
 
+/// yen_k_shortest over flat per-link weights, started from `first`: the
+/// src->dst path shortest_path returns under the same weights, which Yen
+/// would otherwise compute again as its first path. Lets a caller that
+/// only sometimes needs more than one path (greedy routing) pay for the
+/// other k-1 only then. Identical results to the LinkWeight overloads
+/// given the same doubles.
+std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
+                                         const LinkWeightArray& weight, std::size_t k,
+                                         SsspWorkspace& ws, WeightedPath first);
+
 }  // namespace poc::net

@@ -6,12 +6,15 @@
 #include <numeric>
 
 #include "net/ksp.hpp"
+#include "obs/metrics.hpp"
 
 namespace poc::net {
 
 namespace {
 constexpr double kEps = 1e-12;
-}
+/// Candidate paths per commodity in greedy routing.
+constexpr std::size_t kGreedyPaths = 4;
+}  // namespace
 
 std::vector<double> CommodityRouting::link_load(const Graph& g) const {
     std::vector<double> load(g.link_count(), 0.0);
@@ -25,7 +28,6 @@ std::vector<double> CommodityRouting::link_load(const Graph& g) const {
 
 std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const TrafficMatrix& tm,
                                                     const GreedyRoutingOptions& opt) {
-    POC_EXPECTS(opt.k_paths >= 1);
     POC_EXPECTS(opt.utilization_cap > 0.0 && opt.utilization_cap <= 1.0);
     POC_EXPECTS(opt.exclusions == nullptr || opt.exclusions->size() == tm.size());
     const Graph& g = sg.graph();
@@ -41,7 +43,22 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
         residual[lid.index()] = g.link(lid).capacity_gbps * opt.utilization_cap;
     }
 
-    const LinkWeight base_weight = weight_by_length(g);
+    // Congestion-aware metric, one entry per link: length scaled up as
+    // residual capacity shrinks, so routes prefer uncongested links.
+    // Rewritten only for links whose residual changed, so each entry is
+    // the expression's value on the current residuals.
+    LinkWeightArray weight(g.link_count(), 0.0);
+    const auto refresh_weight = [&](LinkId lid) {
+        const Link& link = g.link(lid);
+        const double cap = link.capacity_gbps * opt.utilization_cap;
+        const double used = cap - residual[lid.index()];
+        const double frac = cap > 0.0 ? used / cap : 1.0;
+        const double w = (link.length_km + 1.0) * (1.0 + 4.0 * frac * frac);
+        POC_EXPECTS(w >= 0.0);
+        weight[lid.index()] = w;
+    };
+    for (const LinkId lid : sg.active_links()) refresh_weight(lid);
+
     CommodityRouting routing;
     routing.routes.resize(tm.size());
 
@@ -59,24 +76,13 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
         if (residual[lid.index()] <= kEps) usable.set_active(lid, false);
     }
     std::vector<LinkId> excluded_undo;
+    std::vector<WeightedPath> candidates;
     SsspWorkspace ws;
 
     for (const std::size_t di : order) {
         const Demand& d = tm[di];
         if (d.gbps <= kEps) continue;
         POC_EXPECTS(d.src != d.dst);
-
-        // Candidate paths under a congestion-aware metric: base weight
-        // (length, or caller-supplied, e.g. lease price) scaled up as
-        // residual capacity shrinks, so we prefer uncongested routes.
-        const LinkWeight congestion_weight = [&](LinkId lid) {
-            const double cap = g.link(lid).capacity_gbps * opt.utilization_cap;
-            const double used = cap - residual[lid.index()];
-            const double frac = cap > 0.0 ? used / cap : 1.0;
-            const double base = opt.base_weight != nullptr ? (*opt.base_weight)[lid.index()]
-                                                           : g.link(lid).length_km;
-            return (base + 1.0) * (1.0 + 4.0 * frac * frac);
-        };
 
         excluded_undo.clear();
         if (opt.exclusions != nullptr) {
@@ -88,8 +94,25 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
             }
         }
 
-        auto candidates =
-            yen_k_shortest(usable, d.src, d.dst, congestion_weight, opt.k_paths, ws);
+        // Lazy Yen: Yen's first path is the shortest path. When it can
+        // carry the whole demand, the placement loop below stops right
+        // after it, so the other candidates are computed only when it
+        // falls short — before any residual changes, so Yen sees the
+        // weights it would have seen had it run first.
+        candidates.clear();
+        if (auto first = shortest_path(usable, d.src, d.dst, weight, ws)) {
+            double first_bottleneck = d.gbps;
+            for (const LinkId l : first->links) {
+                first_bottleneck = std::min(first_bottleneck, residual[l.index()]);
+            }
+            if (first_bottleneck >= d.gbps) {
+                candidates.push_back(std::move(*first));
+            } else {
+                POC_OBS_INC("net.greedy.yen_fallbacks");
+                candidates = yen_k_shortest(usable, d.src, d.dst, weight, kGreedyPaths, ws,
+                                            std::move(*first));
+            }
+        }
         double remaining = d.gbps;
         bool fits = true;
         for (const WeightedPath& wp : candidates) {
@@ -101,6 +124,7 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
             if (bottleneck <= kEps) continue;
             for (const LinkId l : wp.links) {
                 residual[l.index()] -= bottleneck;
+                refresh_weight(l);
                 if (residual[l.index()] <= kEps) usable.set_active(l, false);
             }
             routing.routes[di].emplace_back(wp.links, bottleneck);

@@ -6,7 +6,9 @@
 // oracles, both standard in traffic-engineering practice:
 //
 //  * greedy_path_routing - fast water-filling over k-shortest candidate
-//    paths. Sufficient (not necessary): success proves feasibility.
+//    paths (lazy: the later candidates only when the shortest path
+//    falls short). Sufficient (not necessary): success proves
+//    feasibility.
 //  * max_concurrent_flow - Fleischer's FPTAS for maximum concurrent
 //    flow. Returns a certified-feasible throughput factor lambda such
 //    that lambda >= (1-eps)^2 * OPT; lambda >= 1 proves the matrix fits.
@@ -39,20 +41,23 @@ struct CommodityRouting {
 using CommodityExclusions = std::vector<std::vector<LinkId>>;
 
 struct GreedyRoutingOptions {
-    /// Number of candidate shortest paths per commodity.
-    std::size_t k_paths = 4;
     /// Capacity headroom: links are filled only to this fraction.
     double utilization_cap = 1.0;
     /// Optional per-commodity forbidden links (size == tm.size()).
     const CommodityExclusions* exclusions = nullptr;
-    /// Optional base routing weight per link (indexed by link id);
-    /// defaults to geographic length. Winner determination passes lease
-    /// prices here so routing concentrates on cheap links.
-    const std::vector<double>* base_weight = nullptr;
 };
 
-/// Water-filling over Yen candidate paths, demands placed largest-first.
-/// Returns the routing if every demand fits entirely, nullopt otherwise.
+/// Water-filling over up to 4 Yen candidate paths per demand, demands
+/// placed largest-first, under a congestion metric (length scaled up as
+/// residual capacity shrinks). Returns the routing if every demand fits
+/// entirely, nullopt otherwise.
+///
+/// Work is proportional to what the result reads: the metric lives in a
+/// flat per-link array refreshed only on links a placement touched, and
+/// Yen runs past its first path only for a demand whose shortest path
+/// cannot carry it alone (when it can, the candidate loop would stop
+/// after that path anyway). The routing is the same as computing all
+/// four candidates per demand under a per-relaxation weight function.
 std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const TrafficMatrix& tm,
                                                     const GreedyRoutingOptions& opt = {});
 

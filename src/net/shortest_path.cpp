@@ -1,6 +1,8 @@
 #include "net/shortest_path.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -52,6 +54,11 @@ struct LengthWeight {
 
 struct UnitWeight {
     double operator()(LinkId) const { return 1.0; }
+};
+
+struct ArrayWeight {
+    const LinkWeightArray& w;
+    double operator()(LinkId id) const { return w[id.index()]; }
 };
 
 }  // namespace
@@ -146,12 +153,16 @@ namespace detail {
 // a min-heap over a set of unique keys pops a uniquely determined
 // sequence regardless of arity or internal layout. Identical pop order
 // means identical relaxation order, and the arithmetic (nd = d + w) is
-// unchanged, so dist/parent/pred match the seed bit for bit.
+// unchanged, so dist/parent/pred match the seed bit for bit. Stopping
+// at a target cuts the same pop sequence short, after the target's pop.
 template <class Weight>
-void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorkspace& ws) {
+void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorkspace& ws,
+                  NodeId target) {
     const Graph& g = sg.graph();
     POC_EXPECTS(source.index() < g.node_count());
+    POC_EXPECTS(!target.valid() || target.index() < g.node_count());
     POC_OBS_INC("net.sssp.runs");
+    std::uint64_t settled = 0;
 
     // Flat SoA endpoints: the relaxation loop reads two uint32 lanes
     // instead of dereferencing 40-byte Link records. Identical values,
@@ -170,6 +181,8 @@ void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorksp
         const auto [d, u_raw] = ws.heap_pop();
         const NodeId u{u_raw};
         if (d > ws.dist_[u.index()]) continue;  // stale entry (u is always stamped)
+        ++settled;
+        if (u == target) break;
         for (const LinkId lid : g.incident(u)) {
             if (!sg.is_active(lid)) continue;
             const double w = weight(lid);
@@ -186,10 +199,11 @@ void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorksp
             }
         }
     }
+    POC_OBS_COUNT("net.sssp.settled", settled);
 }
 
 template void run_dijkstra<const LinkWeight&>(const Subgraph&, NodeId, const LinkWeight&,
-                                              SsspWorkspace&);
+                                              SsspWorkspace&, NodeId);
 
 }  // namespace detail
 
@@ -260,14 +274,30 @@ std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId
     return shortest_path(sg, src, dst, weight, ws);
 }
 
-std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
-                                          const LinkWeight& weight, SsspWorkspace& ws) {
-    detail::run_dijkstra(sg, src, weight, ws);
+namespace {
+
+template <class Weight>
+std::optional<WeightedPath> search_path(const Subgraph& sg, NodeId src, NodeId dst,
+                                        Weight&& weight, SsspWorkspace& ws) {
+    detail::run_dijkstra(sg, src, std::forward<Weight>(weight), ws, dst);
     if (!ws.reachable(dst)) return std::nullopt;
     WeightedPath wp;
     ws.append_path_to(dst, wp.links);
     wp.weight = ws.dist(dst);
     return wp;
+}
+
+}  // namespace
+
+std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
+                                          const LinkWeight& weight, SsspWorkspace& ws) {
+    return search_path(sg, src, dst, weight, ws);
+}
+
+std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
+                                          const LinkWeightArray& weight, SsspWorkspace& ws) {
+    POC_EXPECTS(weight.size() == sg.graph().link_count());
+    return search_path(sg, src, dst, ArrayWeight{weight}, ws);
 }
 
 std::vector<NodeId> path_nodes(const Graph& g, NodeId src, const std::vector<LinkId>& links) {

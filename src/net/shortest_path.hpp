@@ -52,9 +52,19 @@ enum class SsspMetric : std::uint8_t { kLength = 0, kUnit = 1 };
 
 class SsspWorkspace;
 
+/// Per-link weights in a flat array indexed by link id. Searches read
+/// the entries directly instead of calling a LinkWeight per relaxation;
+/// a caller whose weights change between searches (greedy routing's
+/// congestion metric) rewrites only the entries that changed.
+using LinkWeightArray = std::vector<double>;
+
 namespace detail {
+/// Dijkstra from `source` into `ws`. With a valid `target` the search
+/// stops as soon as the target is settled: its dist and parent chain
+/// are then final (see shortest_path), but other nodes may be partial.
 template <class Weight>
-void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorkspace& ws);
+void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorkspace& ws,
+                  NodeId target = NodeId{});
 }
 
 /// Reusable single-source shortest-path scratch: flat dist/parent/pred
@@ -113,7 +123,7 @@ public:
 private:
     template <class Weight>
     friend void detail::run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight,
-                                     SsspWorkspace& ws);
+                                     SsspWorkspace& ws, NodeId target);
 
     struct HeapItem {
         double dist;
@@ -169,13 +179,26 @@ struct WeightedPath {
 };
 
 /// Convenience: best path between two nodes, or nullopt if disconnected.
+///
+/// The search stops once `dst` is settled, and the result is identical
+/// to reading dst from a full dijkstra() tree: every node on dst's
+/// parent chain relaxed its successor when it was popped, so it was
+/// popped before dst; with non-negative weights and strict-decrease
+/// relaxation a popped node's dist and parent never change again.
 std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
                                           const LinkWeight& weight);
 
 /// shortest_path through a reusable workspace: same result, no
 /// per-call tree allocation (the returned path still allocates).
+/// Afterwards the workspace holds dst's path but, because the search
+/// stopped early, not necessarily a full tree.
 std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
                                           const LinkWeight& weight, SsspWorkspace& ws);
+
+/// shortest_path over flat per-link weights (size == link_count()):
+/// the same result as a LinkWeight returning the same doubles.
+std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
+                                          const LinkWeightArray& weight, SsspWorkspace& ws);
 
 /// The node sequence visited by a path starting at `src`. Requires the
 /// links to form a connected walk from src.

@@ -17,7 +17,8 @@
 //
 // NOT valid for demand-dependent weights (e.g. greedy_path_routing's
 // congestion metric, which changes as demands are placed); those call
-// sites keep their per-demand SSSPs and reuse only the workspace.
+// sites keep per-demand point-to-point searches (shortest_path, which
+// stops at its target) and reuse only the workspace.
 #pragma once
 
 #include <vector>

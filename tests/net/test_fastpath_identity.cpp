@@ -1,18 +1,22 @@
-// Bit-identity of the routing fast path against reference
-// implementations that rebuild all state per demand, the way the code
-// worked before the workspace/incremental-mask optimization:
+// Bit-identity of the routing fast paths against frozen reference
+// implementations of the seed algorithms:
 //
-//  * greedy_path_routing: reference rebuilds the residual-capacity
-//    Subgraph from scratch for every demand; production maintains it
-//    incrementally with an exclusion undo list.
-//  * max_concurrent_flow: reference screens reachability with one full
-//    Dijkstra per demand; production dedups consecutive same-source
+//  * greedy_path_routing: the reference rebuilds the residual-capacity
+//    Subgraph from scratch for every demand, evaluates the congestion
+//    metric through a per-relaxation std::function, and computes all
+//    four Yen candidates for every demand; production maintains the
+//    view incrementally with an exclusion undo list, keeps the metric in
+//    a flat per-link array refreshed on touched links, and runs Yen past
+//    the first path only when that path cannot carry the demand alone.
+//  * max_concurrent_flow: the reference screens reachability with one
+//    full Dijkstra per demand; production dedups consecutive same-source
 //    screens through one workspace.
 //
-// Both use the library shortest_path/yen underneath, whose own
-// bit-identity to the seed priority_queue Dijkstra is proven in
-// test_sssp_workspace.cpp — chaining the two gives end-to-end identity
-// with the pre-optimization code.
+// Neither reference calls shortest_path, yen_k_shortest or
+// greedy_path_routing: every path comes from a full tree-returning
+// dijkstra() (itself proven bit-identical to the seed priority_queue
+// Dijkstra in test_sssp_workspace.cpp), and Yen is a frozen copy of the
+// seed algorithm over those trees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +24,10 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "helpers/graphs.hpp"
-#include "net/ksp.hpp"
 #include "net/mcf.hpp"
 #include "util/rng.hpp"
 
@@ -34,6 +38,89 @@ using net::NodeId;
 namespace {
 
 constexpr double kEps = 1e-12;
+constexpr std::size_t kSeedGreedyPaths = 4;
+
+/// The best src->dst path read off a full Dijkstra tree.
+std::optional<net::WeightedPath> reference_shortest_path(const net::Subgraph& sg, NodeId src,
+                                                         NodeId dst,
+                                                         const net::LinkWeight& weight) {
+    const net::ShortestPathTree tree = net::dijkstra(sg, src, weight);
+    if (!tree.reachable(dst)) return std::nullopt;
+    return net::WeightedPath{tree.path_to(dst), tree.dist[dst.index()]};
+}
+
+/// The seed Yen, frozen: every search is a full Dijkstra tree.
+std::vector<net::WeightedPath> reference_yen(const net::Subgraph& sg, NodeId src, NodeId dst,
+                                             const net::LinkWeight& weight, std::size_t k) {
+    const net::Graph& g = sg.graph();
+    std::vector<net::WeightedPath> result;
+    auto first = reference_shortest_path(sg, src, dst, weight);
+    if (!first) return result;
+    result.push_back(std::move(*first));
+
+    auto cmp = [](const net::WeightedPath& a, const net::WeightedPath& b) {
+        if (a.weight != b.weight) return a.weight < b.weight;
+        return a.links < b.links;
+    };
+    std::set<net::WeightedPath, decltype(cmp)> candidates(cmp);
+    net::Subgraph work = sg;
+
+    while (result.size() < k) {
+        const net::WeightedPath& prev = result.back();
+        const std::vector<NodeId> prev_nodes = net::path_nodes(g, src, prev.links);
+        for (std::size_t i = 0; i + 1 < prev_nodes.size(); ++i) {
+            const NodeId spur_node = prev_nodes[i];
+            std::vector<LinkId> root(prev.links.begin(),
+                                     prev.links.begin() + static_cast<std::ptrdiff_t>(i));
+            double root_weight = 0.0;
+            for (const LinkId l : root) root_weight += weight(l);
+
+            std::vector<LinkId> removed_links;
+            for (const net::WeightedPath& p : result) {
+                if (p.links.size() > i &&
+                    std::equal(root.begin(), root.end(), p.links.begin())) {
+                    const LinkId next = p.links[i];
+                    if (work.is_active(next)) {
+                        work.set_active(next, false);
+                        removed_links.push_back(next);
+                    }
+                }
+            }
+            for (std::size_t j = 0; j < i; ++j) {
+                for (const LinkId lid : g.incident(prev_nodes[j])) {
+                    if (work.is_active(lid)) {
+                        work.set_active(lid, false);
+                        removed_links.push_back(lid);
+                    }
+                }
+            }
+            if (auto spur = reference_shortest_path(work, spur_node, dst, weight)) {
+                net::WeightedPath total;
+                total.links = root;
+                total.links.insert(total.links.end(), spur->links.begin(), spur->links.end());
+                total.weight = root_weight + spur->weight;
+                candidates.insert(std::move(total));
+            }
+            for (const LinkId lid : removed_links) work.set_active(lid, true);
+        }
+
+        bool advanced = false;
+        while (!candidates.empty()) {
+            net::WeightedPath best = *candidates.begin();
+            candidates.erase(candidates.begin());
+            const bool duplicate =
+                std::any_of(result.begin(), result.end(),
+                            [&](const net::WeightedPath& p) { return p.links == best.links; });
+            if (!duplicate) {
+                result.push_back(std::move(best));
+                advanced = true;
+                break;
+            }
+        }
+        if (!advanced) break;
+    }
+    return result;
+}
 
 std::optional<net::CommodityRouting> reference_greedy(const net::Subgraph& sg,
                                                       const net::TrafficMatrix& tm,
@@ -57,13 +144,12 @@ std::optional<net::CommodityRouting> reference_greedy(const net::Subgraph& sg,
         const net::Demand& d = tm[di];
         if (d.gbps <= kEps) continue;
 
+        // The seed congestion metric, evaluated per relaxation.
         const net::LinkWeight congestion_weight = [&](LinkId lid) {
             const double cap = g.link(lid).capacity_gbps * opt.utilization_cap;
             const double used = cap - residual[lid.index()];
             const double frac = cap > 0.0 ? used / cap : 1.0;
-            const double base = opt.base_weight != nullptr ? (*opt.base_weight)[lid.index()]
-                                                           : g.link(lid).length_km;
-            return (base + 1.0) * (1.0 + 4.0 * frac * frac);
+            return (g.link(lid).length_km + 1.0) * (1.0 + 4.0 * frac * frac);
         };
 
         // Per-demand from-scratch rebuild of the usable view.
@@ -75,8 +161,9 @@ std::optional<net::CommodityRouting> reference_greedy(const net::Subgraph& sg,
             for (const LinkId lid : (*opt.exclusions)[di]) usable.set_active(lid, false);
         }
 
+        // Eager: all candidates, whether or not the loop reads them.
         const auto candidates =
-            net::yen_k_shortest(usable, d.src, d.dst, congestion_weight, opt.k_paths);
+            reference_yen(usable, d.src, d.dst, congestion_weight, kSeedGreedyPaths);
         double remaining = d.gbps;
         for (const net::WeightedPath& wp : candidates) {
             if (remaining <= kEps) break;
@@ -153,7 +240,7 @@ net::ConcurrentFlowResult reference_cf(const net::Subgraph& sg, const net::Traff
             if (d.gbps <= kEps) continue;
             double to_route = d.gbps;
             while (to_route > kEps && current_dual < 1.0) {
-                auto sp = net::shortest_path(view_of(j), d.src, d.dst, len_weight);
+                auto sp = reference_shortest_path(view_of(j), d.src, d.dst, len_weight);
                 POC_ASSERT(sp.has_value());
                 double bottleneck = to_route;
                 for (const LinkId l : sp->links) {
@@ -234,31 +321,43 @@ TEST(FastPathIdentity, GreedyMatchesPerDemandRebuild) {
     util::Rng rng(67);
     int feasible = 0;
     int infeasible = 0;
-    for (int round = 0; round < 12; ++round) {
-        // Low scale rounds should fit; high scale rounds should fail,
-        // exercising both return paths.
-        const double scale = round % 2 == 0 ? 2.0 : 40.0;
+    int multi_path_demands = 0;
+    for (int round = 0; round < 30; ++round) {
+        // Low scales fit on one path, middle scales fit only by
+        // splitting some demands over several Yen candidates (the lazy
+        // fallback), high scales fail: every return path is exercised.
+        const double scales[] = {0.5, 1.5, 3.0, 40.0};
+        const double scale = scales[round % 4];
+        const std::size_t n = 8 + static_cast<std::size_t>(round) * 52 / 29;  // 8..60
+        const std::size_t demands = 10 + static_cast<std::size_t>(round) % 31;  // 10..40
         Instance inst;
-        make_random_instance(rng, 8 + static_cast<std::size_t>(round), 25, scale, inst);
+        make_random_instance(rng, n, demands, scale, inst);
         const net::CommodityExclusions* variants[] = {nullptr, &inst.exclusions};
         for (const net::CommodityExclusions* ex : variants) {
-            net::GreedyRoutingOptions opt;
-            opt.exclusions = ex;
-            opt.utilization_cap = round % 3 == 0 ? 0.9 : 1.0;
-            const auto expected = reference_greedy(*inst.sg, inst.tm, opt);
-            const auto got = net::greedy_path_routing(*inst.sg, inst.tm, opt);
-            ASSERT_EQ(expected.has_value(), got.has_value());
-            if (expected) {
-                expect_routing_identical(*expected, *got);
-                ++feasible;
-            } else {
-                ++infeasible;
+            for (const double cap : {0.9, 1.0}) {
+                net::GreedyRoutingOptions opt;
+                opt.exclusions = ex;
+                opt.utilization_cap = cap;
+                const auto expected = reference_greedy(*inst.sg, inst.tm, opt);
+                const auto got = net::greedy_path_routing(*inst.sg, inst.tm, opt);
+                ASSERT_EQ(expected.has_value(), got.has_value()) << "round " << round;
+                if (expected) {
+                    expect_routing_identical(*expected, *got);
+                    ++feasible;
+                    for (const auto& routes : got->routes) {
+                        if (routes.size() >= 2) ++multi_path_demands;
+                    }
+                } else {
+                    ++infeasible;
+                }
             }
         }
     }
-    // The sweep must actually exercise both outcomes.
+    // The sweep must actually exercise both outcomes, and the Yen
+    // fallback: a demand on two or more paths got there only through it.
     EXPECT_GT(feasible, 0);
     EXPECT_GT(infeasible, 0);
+    EXPECT_GT(multi_path_demands, 0);
 }
 
 TEST(FastPathIdentity, ConcurrentFlowMatchesPerDemandScreening) {

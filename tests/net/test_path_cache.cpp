@@ -208,6 +208,9 @@ TEST(PathCache, RepairSourceDoesNotRefreshEntryIdleAge) {
 TEST(PathCache, ConcurrentLookupsAreConsistent) {
     util::Rng rng(61);
     const net::Graph g = test::random_connected(rng, 30, 20);
+    // Build the lazy adjacency before sharing the graph, as the parallel
+    // engines do: racing first incident()/link_soa() calls are a data race.
+    g.warm_adjacency();
     const net::Subgraph sg(g);
 
     net::PathCache cache;

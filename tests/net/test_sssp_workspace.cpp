@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <new>
 #include <queue>
@@ -171,6 +172,70 @@ TEST(SsspWorkspace, WorkspaceShortestPathMatchesConvenienceOverload) {
                 EXPECT_EQ(a->weight, b->weight);
             }
         }
+    }
+}
+
+// shortest_path stops its search once dst is settled. Its answer must
+// still be exactly what a full dijkstra() tree says about dst, for every
+// (src, dst) pair — including the zero-weight links and exact ties where
+// a wrong early stop would most likely pick a different parent.
+TEST(SsspWorkspace, EarlyStopShortestPathMatchesFullTree) {
+    util::Rng rng(31);
+    for (int round = 0; round < 12; ++round) {
+        const std::size_t n = 4 + static_cast<std::size_t>(rng.uniform_int(30));
+        net::Graph g = test::random_connected(rng, n, n / 2 + 2);
+        g.add_node("isolated");  // never reachable from the rest
+        net::Subgraph sg(g);
+        for (const LinkId l : g.all_links()) {
+            if (rng.uniform(0.0, 1.0) < 0.2) sg.set_active(l, false);
+        }
+        std::vector<double> zero_some(g.link_count());
+        for (const LinkId l : g.all_links()) {
+            zero_some[l.index()] = l.index() % 3 == 0 ? 0.0 : g.link(l).length_km;
+        }
+        const net::LinkWeight metrics[] = {
+            net::weight_by_length(g),
+            net::weight_unit(),  // exact ties everywhere
+            [&](LinkId l) { return zero_some[l.index()]; },
+        };
+        const net::LinkWeightArray arrays[] = {
+            [&] {
+                net::LinkWeightArray a(g.link_count());
+                for (const LinkId l : g.all_links()) a[l.index()] = g.link(l).length_km;
+                return a;
+            }(),
+            net::LinkWeightArray(g.link_count(), 1.0),
+            zero_some,
+        };
+        int unreachable = 0;
+        for (std::size_t m = 0; m < std::size(metrics); ++m) {
+            net::SsspWorkspace ws;  // reused across pairs, like the routing loops
+            for (std::size_t s = 0; s < g.node_count(); ++s) {
+                const net::ShortestPathTree tree = net::dijkstra(sg, NodeId{s}, metrics[m]);
+                for (std::size_t t = 0; t < g.node_count(); ++t) {
+                    const auto plain = net::shortest_path(sg, NodeId{s}, NodeId{t}, metrics[m]);
+                    const auto reused =
+                        net::shortest_path(sg, NodeId{s}, NodeId{t}, metrics[m], ws);
+                    const auto flat =
+                        net::shortest_path(sg, NodeId{s}, NodeId{t}, arrays[m], ws);
+                    if (!tree.reachable(NodeId{t})) {
+                        EXPECT_FALSE(plain.has_value());
+                        EXPECT_FALSE(reused.has_value());
+                        EXPECT_FALSE(flat.has_value());
+                        ++unreachable;
+                        continue;
+                    }
+                    const std::vector<LinkId> links = tree.path_to(NodeId{t});
+                    const double weight = tree.dist[t];
+                    for (const auto* got : {&plain, &reused, &flat}) {
+                        ASSERT_TRUE(got->has_value()) << s << "->" << t << " metric " << m;
+                        EXPECT_EQ((*got)->links, links) << s << "->" << t << " metric " << m;
+                        EXPECT_EQ((*got)->weight, weight) << s << "->" << t << " metric " << m;
+                    }
+                }
+            }
+        }
+        EXPECT_GT(unreachable, 0);  // at least the isolated node
     }
 }
 

@@ -5,6 +5,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "util/contracts.hpp"
 
@@ -14,7 +17,13 @@ namespace {
 class CsvExportTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "poc_csv_test";
+        // One directory per test and process: ctest runs these tests as
+        // parallel processes, and a shared directory let one test's
+        // TearDown delete another's output mid-test.
+        dir_ = std::filesystem::temp_directory_path() /
+               ("poc_csv_test_" +
+                std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+                "_" + std::to_string(getpid()));
         std::filesystem::create_directories(dir_);
     }
     void TearDown() override {
