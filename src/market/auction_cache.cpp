@@ -1,24 +1,45 @@
 #include "market/auction_cache.hpp"
 
+#include <algorithm>
+#include <span>
+
+#include "util/hash.hpp"
+
 namespace poc::market {
 
-std::size_t AuctionCache::LinkSetHash::operator()(
-    const std::vector<net::LinkId>& key) const noexcept {
-    // FNV-1a over the id values; the key is canonical (ascending ids),
-    // so equal sets hash equally by construction.
-    std::uint64_t h = 1469598103934665603ull;
-    for (const net::LinkId l : key) {
-        h ^= l.value();
-        h *= 1099511628211ull;
+LinkSetKey::LinkSetKey(const std::vector<net::LinkId>& links) {
+    std::size_t bits = 0;
+    for (const net::LinkId l : links) bits = std::max(bits, l.index() + 1);
+    words_.assign((bits + 63) / 64, 0);
+    for (const net::LinkId l : links) {
+        words_[l.index() / 64] |= std::uint64_t{1} << (l.index() % 64);
     }
-    return static_cast<std::size_t>(h);
+    canonicalize();
 }
 
-AuctionCache::Shard& AuctionCache::shard_for(const std::vector<net::LinkId>& key) const {
-    return shards_[LinkSetHash{}(key) % kShards];
+LinkSetKey::LinkSetKey(const net::Subgraph& sg) {
+    const std::span<const char> mask = sg.mask();
+    words_.resize((mask.size() + 63) / 64);
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+        // Accumulate in a local: a store through words_ inside the byte
+        // loop could alias the char mask and would be redone per byte.
+        const std::span<const char> chunk =
+            mask.subspan(w * 64, std::min<std::size_t>(64, mask.size() - w * 64));
+        std::uint64_t bits = 0;
+        for (std::size_t b = 0; b < chunk.size(); ++b) bits |= std::uint64_t{chunk[b] != 0} << b;
+        words_[w] = bits;
+    }
+    canonicalize();
 }
 
-std::optional<bool> AuctionCache::find_verdict(const std::vector<net::LinkId>& key) const {
+void LinkSetKey::canonicalize() {
+    while (!words_.empty() && words_.back() == 0) words_.pop_back();
+    util::Fnv64 h;
+    for (const std::uint64_t w : words_) h.add(w);
+    hash_ = static_cast<std::size_t>(h.value());
+}
+
+std::optional<bool> AuctionCache::find_verdict(const LinkSetKey& key) const {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.verdicts.find(key);
@@ -30,7 +51,7 @@ std::optional<bool> AuctionCache::find_verdict(const std::vector<net::LinkId>& k
     return it->second;
 }
 
-void AuctionCache::store_verdict(const std::vector<net::LinkId>& key, bool verdict) {
+void AuctionCache::store_verdict(const LinkSetKey& key, bool verdict) {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     // Concurrent re-evaluations of the same set store the same pure
@@ -38,8 +59,7 @@ void AuctionCache::store_verdict(const std::vector<net::LinkId>& key, bool verdi
     shard.verdicts.emplace(key, verdict);
 }
 
-std::optional<std::optional<Selection>> AuctionCache::find_solve(
-    const std::vector<net::LinkId>& key) const {
+std::optional<std::optional<Selection>> AuctionCache::find_solve(const LinkSetKey& key) const {
     std::lock_guard<std::mutex> lock(solve_mutex_);
     const auto it = solves_.find(key);
     if (it == solves_.end()) {
@@ -50,8 +70,7 @@ std::optional<std::optional<Selection>> AuctionCache::find_solve(
     return it->second;
 }
 
-void AuctionCache::store_solve(const std::vector<net::LinkId>& key,
-                               const std::optional<Selection>& result) {
+void AuctionCache::store_solve(const LinkSetKey& key, const std::optional<Selection>& result) {
     std::lock_guard<std::mutex> lock(solve_mutex_);
     solves_.emplace(key, result);
 }
@@ -75,7 +94,7 @@ AuctionCache::Stats AuctionCache::stats() const {
 }
 
 bool CachingOracle::accepts_impl(const net::Subgraph& sg) const {
-    const std::vector<net::LinkId> key = sg.active_links();  // canonical: id order
+    const LinkSetKey key(sg);
     if (const auto cached = cache_->find_verdict(key)) return *cached;
     const bool verdict = inner_->accepts(sg);
     cache_->store_verdict(key, verdict);

@@ -1,7 +1,5 @@
 // Memoization for the auction engine (DESIGN.md §5). Two tables, both
-// keyed by the *canonicalized* link set — link ids in ascending order,
-// which is exactly what Subgraph::active_links() and the OfferPool
-// availability accessors already produce:
+// keyed by the canonical form of a link set, LinkSetKey:
 //
 //  * verdict cache - AcceptabilityOracle answers. A verdict is a pure
 //    function of the active set (for a fixed oracle), so a hit is an
@@ -20,6 +18,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -28,6 +27,38 @@
 #include "market/windet.hpp"
 
 namespace poc::market {
+
+/// The canonical key of a link set: one bit per link id, packed 64 to a
+/// word, with trailing all-zero words trimmed. Equal sets give equal
+/// keys however they were described — an id list in any order, or a
+/// Subgraph's activity mask over a graph of any size — and a set of L
+/// links over ids below N costs N/8 bytes, not 4L. The hash is computed
+/// once, at construction, and serves both the shard pick and the table.
+class LinkSetKey {
+public:
+    /// Key of an id list; duplicates collapse. Implicit: an id list is
+    /// the natural way to name a set.
+    LinkSetKey(const std::vector<net::LinkId>& links);
+    /// Key of the Subgraph's active links.
+    explicit LinkSetKey(const net::Subgraph& sg);
+
+    std::size_t hash() const noexcept { return hash_; }
+
+    friend bool operator==(const LinkSetKey& a, const LinkSetKey& b) noexcept {
+        return a.hash_ == b.hash_ && a.words_ == b.words_;
+    }
+
+    struct Hash {
+        std::size_t operator()(const LinkSetKey& key) const noexcept { return key.hash(); }
+    };
+
+private:
+    /// Trim trailing zero words, then hash what is left.
+    void canonicalize();
+
+    std::vector<std::uint64_t> words_;
+    std::size_t hash_ = 0;
+};
 
 class AuctionCache {
 public:
@@ -38,16 +69,15 @@ public:
         std::size_t solve_misses = 0;
     };
 
-    /// Cached oracle verdict for the canonical link set, if any.
-    std::optional<bool> find_verdict(const std::vector<net::LinkId>& key) const;
-    void store_verdict(const std::vector<net::LinkId>& key, bool verdict);
+    /// Cached oracle verdict for the link set, if any.
+    std::optional<bool> find_verdict(const LinkSetKey& key) const;
+    void store_verdict(const LinkSetKey& key, bool verdict);
 
-    /// Cached winner-determination result for the canonical available
-    /// set. The outer optional distinguishes "not cached" from a cached
+    /// Cached winner-determination result for the available set. The
+    /// outer optional distinguishes "not cached" from a cached
     /// infeasible solve (inner nullopt).
-    std::optional<std::optional<Selection>> find_solve(
-        const std::vector<net::LinkId>& key) const;
-    void store_solve(const std::vector<net::LinkId>& key, const std::optional<Selection>& result);
+    std::optional<std::optional<Selection>> find_solve(const LinkSetKey& key) const;
+    void store_solve(const LinkSetKey& key, const std::optional<Selection>& result);
 
     Stats stats() const;
 
@@ -59,20 +89,17 @@ public:
     void clear();
 
 private:
-    struct LinkSetHash {
-        std::size_t operator()(const std::vector<net::LinkId>& key) const noexcept;
-    };
     struct Shard {
         mutable std::mutex mutex;
-        std::unordered_map<std::vector<net::LinkId>, bool, LinkSetHash> verdicts;
+        std::unordered_map<LinkSetKey, bool, LinkSetKey::Hash> verdicts;
     };
     static constexpr std::size_t kShards = 16;
 
-    Shard& shard_for(const std::vector<net::LinkId>& key) const;
+    Shard& shard_for(const LinkSetKey& key) const { return shards_[key.hash() % kShards]; }
 
     mutable Shard shards_[kShards];
     mutable std::mutex solve_mutex_;
-    std::unordered_map<std::vector<net::LinkId>, std::optional<Selection>, LinkSetHash> solves_;
+    std::unordered_map<LinkSetKey, std::optional<Selection>, LinkSetKey::Hash> solves_;
 
     mutable std::atomic<std::size_t> verdict_hits_{0};
     mutable std::atomic<std::size_t> verdict_misses_{0};

@@ -46,10 +46,12 @@ std::optional<util::Money> BpBid::cost(const std::vector<net::LinkId>& subset) c
     }
 
     // Exact bundle override?
-    std::vector<net::LinkId> sorted = subset;
-    std::sort(sorted.begin(), sorted.end());
-    for (const auto& [bundle, price] : bundle_overrides_) {
-        if (bundle == sorted) return price;
+    if (!bundle_overrides_.empty()) {
+        std::vector<net::LinkId> sorted = subset;
+        std::sort(sorted.begin(), sorted.end());
+        for (const auto& [bundle, price] : bundle_overrides_) {
+            if (bundle == sorted) return price;
+        }
     }
 
     // Largest applicable volume tier.
@@ -89,32 +91,30 @@ util::Money VirtualLinkContract::price(net::LinkId link) const {
 OfferPool::OfferPool(std::vector<BpBid> bids, VirtualLinkContract virtual_links,
                      const net::Graph& graph)
     : bids_(std::move(bids)), virtual_links_(std::move(virtual_links)), graph_(&graph) {
-    owner_by_link_.assign(graph.link_count(), BpId{});
-    std::vector<char> covered(graph.link_count(), 0);
-
-    for (const BpBid& bid : bids_) {
-        for (const net::LinkId l : bid.offered_links()) {
-            POC_EXPECTS(l.index() < graph.link_count());
-            POC_EXPECTS(covered[l.index()] == 0);  // one owner per link
-            covered[l.index()] = 1;
-            owner_by_link_[l.index()] = bid.bp();
-        }
-    }
-    for (const net::LinkId l : virtual_links_.links()) {
+    POC_EXPECTS(bids_.size() < kNotOffered);
+    party_by_link_.assign(graph.link_count(), kNotOffered);
+    const auto claim = [&](net::LinkId l, std::size_t party) {
         POC_EXPECTS(l.index() < graph.link_count());
-        POC_EXPECTS(covered[l.index()] == 0);
-        covered[l.index()] = 1;
-        // owner stays invalid: virtual link.
+        POC_EXPECTS(party_by_link_[l.index()] == kNotOffered);  // one owner per link
+        party_by_link_[l.index()] = static_cast<std::uint32_t>(party);
+    };
+    for (std::size_t i = 0; i < bids_.size(); ++i) {
+        for (const net::LinkId l : bids_[i].offered_links()) claim(l, i);
     }
-    for (std::size_t i = 0; i < covered.size(); ++i) {
-        if (covered[i] == 1) offered_.emplace_back(i);
+    for (const net::LinkId l : virtual_links_.links()) claim(l, bids_.size());
+    for (std::size_t i = 0; i < party_by_link_.size(); ++i) {
+        if (party_by_link_[i] != kNotOffered) offered_.emplace_back(i);
     }
-    covered_ = std::move(covered);
 }
 
 bool OfferPool::is_offered(net::LinkId link) const {
-    POC_EXPECTS(link.index() < covered_.size());
-    return covered_[link.index()] == 1;
+    POC_EXPECTS(link.index() < party_by_link_.size());
+    return party_by_link_[link.index()] != kNotOffered;
+}
+
+std::size_t OfferPool::party(net::LinkId link) const {
+    POC_EXPECTS(is_offered(link));
+    return party_by_link_[link.index()];
 }
 
 const BpBid& OfferPool::bid(BpId bp) const {
@@ -127,23 +127,36 @@ const BpBid& OfferPool::bid(BpId bp) const {
 }
 
 BpId OfferPool::owner(net::LinkId link) const {
-    POC_EXPECTS(is_offered(link));
-    return owner_by_link_[link.index()];
+    const std::size_t p = party(link);
+    return p < bids_.size() ? bids_[p].bp() : BpId{};
 }
 
 std::optional<util::Money> OfferPool::total_cost(const std::vector<net::LinkId>& links) const {
+    // Group the links by pricing party with one stable counting sort, so
+    // each share keeps its input order: begin[p]..begin[p + 1] is party
+    // p's share, the virtual links last.
+    const std::size_t parties = bids_.size() + 1;
+    std::vector<std::size_t> begin(parties + 1, 0);
+    for (const net::LinkId l : links) ++begin[party(l) + 1];
+    for (std::size_t p = 0; p < parties; ++p) begin[p + 1] += begin[p];
+    std::vector<net::LinkId> grouped(links.size());
+    std::vector<std::size_t> next(begin.begin(), begin.end() - 1);
+    for (const net::LinkId l : links) grouped[next[party_by_link_[l.index()]]++] = l;
+
+    const auto share_of = [&](std::size_t p, std::vector<net::LinkId>& share) {
+        share.assign(grouped.begin() + static_cast<std::ptrdiff_t>(begin[p]),
+                     grouped.begin() + static_cast<std::ptrdiff_t>(begin[p + 1]));
+    };
     util::Money total{};
-    std::vector<net::LinkId> virtual_share;
-    for (const BpBid& bid : bids_) {
-        const auto share = owned_subset(links, bid.bp());
-        const auto c = bid.cost(share);
+    std::vector<net::LinkId> share;
+    for (std::size_t p = 0; p < bids_.size(); ++p) {
+        share_of(p, share);
+        const auto c = bids_[p].cost(share);
         if (!c) return std::nullopt;
         total += *c;
     }
-    for (const net::LinkId l : links) {
-        if (is_virtual(l)) virtual_share.push_back(l);
-    }
-    total += virtual_links_.cost(virtual_share);
+    share_of(bids_.size(), share);
+    total += virtual_links_.cost(share);
     return total;
 }
 

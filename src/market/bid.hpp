@@ -7,6 +7,7 @@
 // not offer prices to infinity (represented as std::nullopt).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -126,19 +127,25 @@ public:
 
     /// Total cost C(L) of an arbitrary link set: sum over BPs of
     /// C_alpha(L intersect L_alpha) plus C_v(L intersect VL). Returns
-    /// nullopt if any BP prices its share to infinity.
+    /// nullopt if any BP prices its share to infinity. Every link must
+    /// be offered. One pass over `links`, whatever the number of BPs.
     std::optional<util::Money> total_cost(const std::vector<net::LinkId>& links) const;
 
     /// The subset of `links` owned by `bp`.
     std::vector<net::LinkId> owned_subset(const std::vector<net::LinkId>& links, BpId bp) const;
 
 private:
+    static constexpr std::uint32_t kNotOffered = ~std::uint32_t{0};
+
+    /// The pricing party of an offered link: its bid's index in bids_,
+    /// or bids_.size() for a virtual link.
+    std::size_t party(net::LinkId link) const;
+
     std::vector<BpBid> bids_;
     VirtualLinkContract virtual_links_;
     const net::Graph* graph_;
     std::vector<net::LinkId> offered_;
-    std::vector<BpId> owner_by_link_;  // indexed by link id
-    std::vector<char> covered_;        // 1 where the link is offered
+    std::vector<std::uint32_t> party_by_link_;  // indexed by link id; kNotOffered if absent
 };
 
 }  // namespace poc::market

@@ -2,6 +2,7 @@
 
 #include "net/connectivity.hpp"
 #include "net/mcf.hpp"
+#include "obs/metrics.hpp"
 #include "util/hash.hpp"
 
 namespace poc::market {
@@ -22,6 +23,11 @@ AcceptabilityOracle::AcceptabilityOracle(const net::Graph& graph, net::TrafficMa
                                          ConstraintKind kind, OracleOptions opt)
     : graph_(&graph), tm_(std::move(tm)), kind_(kind), opt_(opt) {
     POC_EXPECTS(opt_.fast_failure_derate > 0.0 && opt_.fast_failure_derate <= 1.0);
+    // The demands all_pairs_connected checks (gbps not <= 0) that a
+    // successful greedy routing does not prove connected.
+    for (const net::Demand& d : tm_) {
+        if (!(d.gbps <= 0.0) && !net::greedy_success_connects(d)) unproven_by_greedy_.push_back(d);
+    }
 }
 
 bool AcceptabilityOracle::accepts_impl(const net::Subgraph& sg) const {
@@ -71,32 +77,68 @@ bool AcceptabilityOracle::accepts_exact(const net::Subgraph& sg) const {
 }
 
 bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg) const {
-    if (!net::all_pairs_connected(sg, tm_)) return false;
+    // Each evaluation bumps exactly one verdict counter: the screen that
+    // rejected it, or greedy_accepts.
     switch (kind_) {
         case ConstraintKind::kLoad: {
-            return net::greedy_path_routing(sg, tm_).has_value();
+            // Connectivity of every positive demand is necessary, but a
+            // successful greedy routing already proves it for all
+            // demands it had to place, so only the rest are screened,
+            // and only after greedy succeeds.
+            if (!net::greedy_path_routing(sg, tm_).has_value()) {
+                POC_OBS_INC("market.oracle.greedy_rejects");
+                return false;
+            }
+            if (!unproven_by_greedy_.empty() &&
+                !net::all_pairs_connected(sg, unproven_by_greedy_)) {
+                POC_OBS_INC("market.oracle.connectivity_rejects");
+                return false;
+            }
+            break;
         }
         case ConstraintKind::kSingleFailure: {
             // (a) Demand endpoints must be 2-edge-connected: connected
-            //     even with every bridge removed.
+            //     even with every bridge removed. This implies plain
+            //     connectivity, which therefore needs no screen of its own.
             net::Subgraph no_bridges = sg;
             for (const net::LinkId b : net::find_bridges(sg)) no_bridges.set_active(b, false);
-            if (!net::all_pairs_connected(no_bridges, tm_)) return false;
+            if (!net::all_pairs_connected(no_bridges, tm_)) {
+                POC_OBS_INC("market.oracle.bridge_rejects");
+                return false;
+            }
             // (b) The matrix must fit with protection headroom: every
             //     link derated to `fast_failure_derate` of capacity.
             net::GreedyRoutingOptions gopt;
             gopt.utilization_cap = opt_.fast_failure_derate;
-            return net::greedy_path_routing(sg, tm_, gopt).has_value();
+            if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
+                POC_OBS_INC("market.oracle.greedy_rejects");
+                return false;
+            }
+            break;
         }
         case ConstraintKind::kPerPairFailure: {
+            // primary_paths runs before greedy and needs the demands
+            // connected, so this constraint keeps the screen up front.
+            if (!net::all_pairs_connected(sg, tm_)) {
+                POC_OBS_INC("market.oracle.connectivity_rejects");
+                return false;
+            }
             const auto primaries = net::primary_paths(sg, tm_, opt_.path_cache);
-            if (!net::greedy_path_routing(sg, tm_).has_value()) return false;
+            if (!net::greedy_path_routing(sg, tm_).has_value()) {
+                POC_OBS_INC("market.oracle.greedy_rejects");
+                return false;
+            }
             net::GreedyRoutingOptions gopt;
             gopt.exclusions = &primaries;
-            return net::greedy_path_routing(sg, tm_, gopt).has_value();
+            if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
+                POC_OBS_INC("market.oracle.greedy_rejects");
+                return false;
+            }
+            break;
         }
     }
-    return false;
+    POC_OBS_INC("market.oracle.greedy_accepts");
+    return true;
 }
 
 }  // namespace poc::market

@@ -129,6 +129,9 @@ private:
     net::TrafficMatrix tm_;
     ConstraintKind kind_;
     OracleOptions opt_;
+    /// kFast kLoad screens connectivity only for these demands (usually
+    /// none): see accepts_fast.
+    net::TrafficMatrix unproven_by_greedy_;
 };
 
 /// Decorator that makes any oracle *fallible*: before each query it

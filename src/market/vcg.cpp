@@ -19,18 +19,19 @@ const BpOutcome& AuctionResult::outcome(BpId bp) const {
 
 namespace {
 
-/// One winner-determination solve, optionally memoized. The cache key
-/// is the canonical available set: offered_links() and
-/// offered_links_without() both produce ascending id order.
+/// One winner-determination solve, optionally memoized under the
+/// available set.
 std::optional<Selection> solve(const OfferPool& pool, const Oracle& oracle,
                                const std::vector<net::LinkId>& available,
                                const AuctionOptions& opt, AuctionCache* cache) {
+    std::optional<LinkSetKey> key;
     if (cache) {
-        if (const auto hit = cache->find_solve(available)) return *hit;
+        key.emplace(available);
+        if (const auto hit = cache->find_solve(*key)) return *hit;
     }
     auto result = opt.exact ? select_links_exact(pool, oracle, available)
                             : select_links(pool, oracle, available, opt.windet);
-    if (cache) cache->store_solve(available, result);
+    if (cache) cache->store_solve(*key, result);
     return result;
 }
 

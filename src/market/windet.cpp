@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace poc::market {
 
@@ -15,16 +16,22 @@ util::Money unit_price(const OfferPool& pool, net::LinkId link) {
     return pool.virtual_links().price(link);
 }
 
-/// Expensive-per-gbps links are removal candidates first.
+/// Expensive-per-gbps links are removal candidates first. The key is
+/// computed once per link, not per comparison.
 std::vector<net::LinkId> removal_order(const OfferPool& pool,
                                        const std::vector<net::LinkId>& links) {
-    std::vector<net::LinkId> order = links;
-    std::sort(order.begin(), order.end(), [&](net::LinkId a, net::LinkId b) {
-        const double pa = unit_price(pool, a).dollars() / pool.graph().link(a).capacity_gbps;
-        const double pb = unit_price(pool, b).dollars() / pool.graph().link(b).capacity_gbps;
-        if (pa != pb) return pa > pb;
-        return a < b;  // deterministic tie break
+    std::vector<std::pair<double, net::LinkId>> keyed;
+    keyed.reserve(links.size());
+    for (const net::LinkId l : links) {
+        keyed.emplace_back(unit_price(pool, l).dollars() / pool.graph().link(l).capacity_gbps, l);
+    }
+    std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+        if (a.first != b.first) return a.first > b.first;
+        return a.second < b.second;  // deterministic tie break
     });
+    std::vector<net::LinkId> order;
+    order.reserve(keyed.size());
+    for (const auto& [key, link] : keyed) order.push_back(link);
     return order;
 }
 

@@ -1,7 +1,6 @@
 #include "net/connectivity.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace poc::net {
 
@@ -9,21 +8,24 @@ Components connected_components(const Subgraph& sg) {
     const Graph& g = sg.graph();
     Components comp;
     comp.label.assign(g.node_count(), ~std::uint32_t{0});
+    // One FIFO for every BFS: each node is enqueued once over the whole
+    // sweep, so the queue is this vector plus a read cursor.
+    std::vector<NodeId> queue;
+    queue.reserve(g.node_count());
     for (std::size_t start = 0; start < g.node_count(); ++start) {
         if (comp.label[start] != ~std::uint32_t{0}) continue;
         const std::uint32_t id = comp.count++;
-        std::queue<NodeId> q;
-        q.push(NodeId{start});
+        std::size_t head = queue.size();
+        queue.push_back(NodeId{start});
         comp.label[start] = id;
-        while (!q.empty()) {
-            const NodeId u = q.front();
-            q.pop();
+        while (head < queue.size()) {
+            const NodeId u = queue[head++];
             for (const LinkId lid : g.incident(u)) {
                 if (!sg.is_active(lid)) continue;
                 const NodeId v = g.link(lid).other(u);
                 if (comp.label[v.index()] == ~std::uint32_t{0}) {
                     comp.label[v.index()] = id;
-                    q.push(v);
+                    queue.push_back(v);
                 }
             }
         }

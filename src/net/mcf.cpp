@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "net/ksp.hpp"
 #include "obs/metrics.hpp"
@@ -14,7 +15,17 @@ namespace {
 constexpr double kEps = 1e-12;
 /// Candidate paths per commodity in greedy routing.
 constexpr std::size_t kGreedyPaths = 4;
+
+/// Greedy routing's completion test: true while too much of a demand
+/// is left unplaced for it to count as fitted.
+bool exceeds_fit_tolerance(double remaining, double gbps) {
+    return remaining > 1e-9 * std::max(1.0, gbps);
+}
 }  // namespace
+
+bool greedy_success_connects(const Demand& d) {
+    return d.gbps > kEps && exceeds_fit_tolerance(d.gbps, d.gbps);
+}
 
 std::vector<double> CommodityRouting::link_load(const Graph& g) const {
     std::vector<double> load(g.link_count(), 0.0);
@@ -38,15 +49,11 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) { return tm[a].gbps > tm[b].gbps; });
 
-    std::vector<double> residual(g.link_count(), 0.0);
-    for (const LinkId lid : sg.active_links()) {
-        residual[lid.index()] = g.link(lid).capacity_gbps * opt.utilization_cap;
-    }
-
     // Congestion-aware metric, one entry per link: length scaled up as
     // residual capacity shrinks, so routes prefer uncongested links.
     // Rewritten only for links whose residual changed, so each entry is
     // the expression's value on the current residuals.
+    std::vector<double> residual(g.link_count(), 0.0);
     LinkWeightArray weight(g.link_count(), 0.0);
     const auto refresh_weight = [&](LinkId lid) {
         const Link& link = g.link(lid);
@@ -57,10 +64,6 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
         POC_EXPECTS(w >= 0.0);
         weight[lid.index()] = w;
     };
-    for (const LinkId lid : sg.active_links()) refresh_weight(lid);
-
-    CommodityRouting routing;
-    routing.routes.resize(tm.size());
 
     // The "usable" view — active links with residual capacity — is
     // maintained incrementally across demands instead of being rebuilt
@@ -72,9 +75,18 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
     // (an excluded link's residual cannot change while it is excluded,
     // so restoring to active is always correct).
     Subgraph usable = sg;
-    for (const LinkId lid : sg.active_links()) {
-        if (residual[lid.index()] <= kEps) usable.set_active(lid, false);
+    const std::span<const char> mask = sg.mask();
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+        if (mask[i] == 0) continue;
+        const LinkId lid{i};
+        residual[i] = g.link(lid).capacity_gbps * opt.utilization_cap;
+        refresh_weight(lid);
+        if (residual[i] <= kEps) usable.set_active(lid, false);
     }
+
+    CommodityRouting routing;
+    routing.routes.resize(tm.size());
+
     std::vector<LinkId> excluded_undo;
     std::vector<WeightedPath> candidates;
     SsspWorkspace ws;
@@ -130,7 +142,7 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
             routing.routes[di].emplace_back(wp.links, bottleneck);
             remaining -= bottleneck;
         }
-        if (remaining > 1e-9 * std::max(1.0, d.gbps)) fits = false;
+        if (exceeds_fit_tolerance(remaining, d.gbps)) fits = false;
 
         for (const LinkId lid : excluded_undo) usable.set_active(lid, true);
         if (!fits) return std::nullopt;

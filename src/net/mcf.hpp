@@ -61,6 +61,13 @@ struct GreedyRoutingOptions {
 std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const TrafficMatrix& tm,
                                                     const GreedyRoutingOptions& opt = {});
 
+/// True when greedy_path_routing can fit `d` only by placing at least
+/// one path for it, so a successful routing proves the demand's
+/// endpoints connected over the active links. False for demands within
+/// the completion tolerance (at most 1e-9 gbps, or NaN), which can fit
+/// with no path at all.
+bool greedy_success_connects(const Demand& d);
+
 struct ConcurrentFlowResult {
     /// Certified feasible throughput: every demand can simultaneously
     /// route lambda * its volume. lambda >= 1 ==> the matrix fits.

@@ -4,6 +4,7 @@
 
 #include "helpers/market.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace poc::market {
 namespace {
@@ -157,6 +158,113 @@ TEST(OfferPool, BidLookupByIdAndUnknownRejected) {
     const OfferPool pool = fx.pool();
     EXPECT_EQ(pool.bid(BpId{1u}).name(), "B");
     EXPECT_THROW(pool.bid(BpId{9u}), util::ContractViolation);
+}
+
+/// C(L) as the per-BP definition states it, frozen: each BP prices the
+/// share owned_subset() filters out for it, and the virtual links add
+/// their contract prices.
+std::optional<Money> reference_total_cost(const OfferPool& pool,
+                                          const std::vector<net::LinkId>& links) {
+    Money total{};
+    for (const BpBid& bid : pool.bids()) {
+        const auto c = bid.cost(pool.owned_subset(links, bid.bp()));
+        if (!c) return std::nullopt;
+        total += *c;
+    }
+    std::vector<net::LinkId> virtual_share;
+    for (const net::LinkId l : links) {
+        if (pool.is_virtual(l)) virtual_share.push_back(l);
+    }
+    return total + pool.virtual_links().cost(virtual_share);
+}
+
+TEST(OfferPoolTest, TotalCostMatchesPerBidReference) {
+    util::Rng rng(2024);
+    int overridden = 0;
+    for (int round = 0; round < 40; ++round) {
+        net::Graph g;
+        g.add_nodes(6);
+        const std::size_t link_count = 20 + static_cast<std::size_t>(round) * 4;
+        const std::size_t bp_count = 1 + static_cast<std::size_t>(round) % 6;
+        std::vector<BpBid> bids;
+        for (std::size_t b = 0; b < bp_count; ++b) {
+            bids.emplace_back(BpId{b}, "BP" + std::to_string(b));
+            if (rng.bernoulli(0.6)) bids.back().add_discount({2 + b, rng.uniform(0.0, 0.3)});
+            if (rng.bernoulli(0.4)) bids.back().add_discount({5, rng.uniform(0.0, 0.5)});
+        }
+        VirtualLinkContract contract;
+        for (std::size_t i = 0; i < link_count; ++i) {
+            const auto u = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{6}));
+            const net::LinkId l = g.add_link(net::NodeId{u}, net::NodeId{(u + 1) % 6}, 10.0, 1.0);
+            const double roll = rng.uniform(0.0, 1.0);
+            if (roll < 0.1) continue;  // offered by nobody
+            if (roll < 0.25) {
+                contract.add(l, Money::from_dollars(rng.uniform(10.0, 900.0)));
+            } else {
+                const auto owner = static_cast<std::size_t>(rng.uniform_int(bp_count));
+                bids[owner].offer(l, Money::from_dollars(rng.uniform(10.0, 900.0)));
+            }
+        }
+
+        // Subsets of the offered links, each in shuffled order: random,
+        // empty and full.
+        std::vector<net::LinkId> offered;
+        for (const BpBid& bid : bids) {
+            offered.insert(offered.end(), bid.offered_links().begin(), bid.offered_links().end());
+        }
+        offered.insert(offered.end(), contract.links().begin(), contract.links().end());
+        std::vector<std::vector<net::LinkId>> subsets = {{}, offered};
+        for (int k = 0; k < 6; ++k) {
+            std::vector<net::LinkId> subset;
+            for (const net::LinkId l : offered) {
+                if (rng.bernoulli(0.5)) subset.push_back(l);
+            }
+            subsets.push_back(std::move(subset));
+        }
+        for (auto& subset : subsets) rng.shuffle(subset);
+
+        // Bundle overrides: one exactly equal to BP0's share of the
+        // first random subset, so that subset prices through it, plus
+        // a random bundle that rarely matches anything.
+        std::vector<net::LinkId> share;
+        for (const net::LinkId l : subsets[2]) {
+            if (bids[0].offers(l)) share.push_back(l);
+        }
+        const Money share_price = Money::from_dollars(rng.uniform(1.0, 50.0));
+        if (!share.empty()) bids[0].override_bundle(share, share_price);
+        const std::vector<net::LinkId>& last = bids.back().offered_links();
+        if (last.size() >= 2) {
+            bids.back().override_bundle({last[0], last[1]},
+                                        Money::from_dollars(rng.uniform(1.0, 50.0)));
+        }
+
+        const OfferPool pool(bids, contract, g);
+        for (const auto& subset : subsets) {
+            const auto expected = reference_total_cost(pool, subset);
+            const auto got = pool.total_cost(subset);
+            ASSERT_EQ(expected, got) << "round " << round << " subset size " << subset.size();
+        }
+        if (!share.empty()) {
+            // The override is what prices BP0's share of that subset.
+            EXPECT_EQ(pool.bid(BpId{0u}).cost(pool.owned_subset(subsets[2], BpId{0u})),
+                      share_price);
+            ++overridden;
+        }
+    }
+    EXPECT_GT(overridden, 0);
+}
+
+TEST(OfferPoolTest, TotalCostRejectsUnofferedLinks) {
+    net::Graph g;
+    const auto a = g.add_node();
+    const auto b = g.add_node();
+    const auto l0 = g.add_link(a, b, 5.0, 1.0);
+    const auto l1 = g.add_link(a, b, 5.0, 1.0);  // nobody offers this one
+    BpBid bid(BpId{0u}, "A");
+    bid.offer(l0, 100_usd);
+    const OfferPool pool({bid}, {}, g);
+    EXPECT_THROW((void)pool.total_cost({l0, l1}), util::ContractViolation);
+    EXPECT_THROW((void)pool.total_cost({net::LinkId{7u}}), util::ContractViolation);
 }
 
 }  // namespace

@@ -1,0 +1,222 @@
+// Verdict identity of the kFast acceptability oracle against a frozen
+// copy of its screen-first body, in which every constraint first checks
+// that each positive demand's endpoints are connected over the active
+// links. Production routes kLoad through greedy first and screens only
+// the demands a successful greedy run does not prove connected, and
+// lets kSingleFailure's bridge screen (a stricter connectivity check on
+// a subgraph) stand in for the plain one. Neither may change a verdict.
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "helpers/graphs.hpp"
+#include "market/delta_reclear.hpp"
+#include "market/vcg.hpp"
+#include "net/connectivity.hpp"
+#include "net/mcf.hpp"
+#include "obs/metrics.hpp"
+#include "topo/synthetic.hpp"
+#include "util/rng.hpp"
+
+namespace poc::market {
+namespace {
+
+/// The kFast verdict as it stood with the connectivity screen first.
+bool screen_first_reference(const net::Subgraph& sg, const net::TrafficMatrix& tm,
+                            ConstraintKind kind, double derate) {
+    if (!net::all_pairs_connected(sg, tm)) return false;
+    if (kind == ConstraintKind::kLoad) return net::greedy_path_routing(sg, tm).has_value();
+    net::Subgraph no_bridges = sg;
+    for (const net::LinkId b : net::find_bridges(sg)) no_bridges.set_active(b, false);
+    if (!net::all_pairs_connected(no_bridges, tm)) return false;
+    net::GreedyRoutingOptions gopt;
+    gopt.utilization_cap = derate;
+    return net::greedy_path_routing(sg, tm, gopt).has_value();
+}
+
+bool fast_verdict(const net::Graph& g, const net::TrafficMatrix& tm, ConstraintKind kind,
+                  double derate, const net::Subgraph& sg) {
+    OracleOptions opt;
+    opt.fidelity = OracleFidelity::kFast;
+    opt.fast_failure_derate = derate;
+    return AcceptabilityOracle(g, tm, kind, opt).accepts(sg);
+}
+
+/// Random demands over `n` nodes at `scale` gbps, with a zero demand
+/// and demands too small for greedy to place mixed in.
+net::TrafficMatrix random_demands(util::Rng& rng, std::size_t n, std::size_t count, double scale) {
+    net::TrafficMatrix tm;
+    for (std::size_t i = 0; i < count; ++i) {
+        const auto s = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+        auto t = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+        if (t == s) t = (t + 1) % n;
+        double gbps = rng.uniform(0.1, 1.0) * scale;
+        const double roll = rng.uniform(0.0, 1.0);
+        if (roll < 0.1) gbps = 0.0;
+        else if (roll < 0.2) gbps = 1e-13;
+        else if (roll < 0.3) gbps = 1e-10;
+        tm.push_back({net::NodeId{s}, net::NodeId{t}, gbps});
+    }
+    return tm;
+}
+
+struct Tally {
+    int accepted = 0;
+    int rejected = 0;
+};
+
+void expect_identical_verdicts(util::Rng& rng, const net::Graph& g, double demand_scale,
+                               Tally& tally) {
+    for (const double drop : {0.05, 0.2, 0.4}) {
+        for (int probe = 0; probe < 6; ++probe) {
+            net::Subgraph sg(g);
+            for (const net::LinkId l : g.all_links()) {
+                if (rng.bernoulli(drop)) sg.set_active(l, false);
+            }
+            const std::size_t demands =
+                1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{6}));
+            const net::TrafficMatrix tm =
+                random_demands(rng, g.node_count(), demands, demand_scale);
+            for (const ConstraintKind kind :
+                 {ConstraintKind::kLoad, ConstraintKind::kSingleFailure}) {
+                for (const double derate : {0.65, 1.0}) {
+                    const bool expected = screen_first_reference(sg, tm, kind, derate);
+                    ASSERT_EQ(fast_verdict(g, tm, kind, derate, sg), expected)
+                        << constraint_name(kind) << " derate " << derate << " drop " << drop;
+                    ++(expected ? tally.accepted : tally.rejected);
+                }
+            }
+        }
+    }
+}
+
+TEST(OracleIdentity, FastVerdictsMatchScreenFirstReference) {
+    util::Rng rng(131);
+    Tally tally;
+    for (std::size_t round = 0; round < 8; ++round) {
+        // Sparse random multigraphs: masks often cut demands apart.
+        const net::Graph g = test::random_connected(rng, 8 + 2 * round, 6 + 3 * round);
+        expect_identical_verdicts(rng, g, 12.0, tally);
+    }
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        // Continental meshes with parallel trunks between regions.
+        topo::SyntheticTopologyOptions opt;
+        opt.nodes = 40;
+        opt.regions = 4;
+        opt.avg_degree = 3.0;
+        opt.seed = seed;
+        const topo::SyntheticTopology topo = topo::build_synthetic_topology(opt);
+        expect_identical_verdicts(rng, topo.graph, 1500.0, tally);
+    }
+    // Both outcomes are exercised, under both constraints.
+    EXPECT_GT(tally.accepted, 50);
+    EXPECT_GT(tally.rejected, 50);
+}
+
+/// Nodes 0-1 joined by a link; nodes 2-3 joined by another; no path
+/// between the two pairs.
+struct TwoIslands {
+    net::Graph g;
+    TwoIslands() {
+        g.add_nodes(4);
+        g.add_link(net::NodeId{0u}, net::NodeId{1u}, 10.0, 1.0);
+        g.add_link(net::NodeId{2u}, net::NodeId{3u}, 10.0, 1.0);
+    }
+};
+
+TEST(OracleIdentity, TinyDemandAcrossACutIsStillRejected) {
+    // Greedy skips demands at or below its placement tolerance, so its
+    // success proves nothing about their endpoints; the screen must.
+    const TwoIslands is;
+    const net::Subgraph sg(is.g);
+    for (const double tiny : {1e-13, 1e-12, 1e-10, 1e-9}) {
+        const net::TrafficMatrix tm = {{net::NodeId{0u}, net::NodeId{1u}, 5.0},
+                                       {net::NodeId{1u}, net::NodeId{2u}, tiny}};
+        EXPECT_TRUE(net::greedy_path_routing(sg, tm).has_value()) << tiny;
+        for (const ConstraintKind kind : {ConstraintKind::kLoad, ConstraintKind::kSingleFailure}) {
+            EXPECT_FALSE(screen_first_reference(sg, tm, kind, 1.0)) << tiny;
+            EXPECT_FALSE(fast_verdict(is.g, tm, kind, 1.0, sg)) << tiny;
+        }
+    }
+}
+
+TEST(OracleIdentity, ZeroDemandAcrossACutIsAccepted) {
+    const TwoIslands is;
+    const net::Subgraph sg(is.g);
+    const net::TrafficMatrix tm = {{net::NodeId{0u}, net::NodeId{1u}, 5.0},
+                                   {net::NodeId{1u}, net::NodeId{2u}, 0.0}};
+    EXPECT_TRUE(screen_first_reference(sg, tm, ConstraintKind::kLoad, 1.0));
+    EXPECT_TRUE(fast_verdict(is.g, tm, ConstraintKind::kLoad, 1.0, sg));
+}
+
+TEST(OracleIdentity, DerateCapsMatchReference) {
+    // Two parallel 10 Gbps links carry 12 Gbps at full capacity, and at
+    // a 0.65 derate (13 Gbps) too, but not 14 Gbps at 0.65 (13 usable).
+    net::Graph g;
+    g.add_nodes(2);
+    g.add_link(net::NodeId{0u}, net::NodeId{1u}, 10.0, 1.0);
+    g.add_link(net::NodeId{0u}, net::NodeId{1u}, 10.0, 1.0);
+    const net::Subgraph sg(g);
+    for (const double gbps : {6.0, 12.0, 14.0, 19.0, 21.0}) {
+        const net::TrafficMatrix tm = {{net::NodeId{0u}, net::NodeId{1u}, gbps}};
+        for (const double derate : {0.3, 0.65, 0.7, 1.0}) {
+            EXPECT_EQ(fast_verdict(g, tm, ConstraintKind::kSingleFailure, derate, sg),
+                      screen_first_reference(sg, tm, ConstraintKind::kSingleFailure, derate))
+                << gbps << " gbps at derate " << derate;
+        }
+    }
+    const net::TrafficMatrix tm = {{net::NodeId{0u}, net::NodeId{1u}, 14.0}};
+    EXPECT_FALSE(fast_verdict(g, tm, ConstraintKind::kSingleFailure, 0.65, sg));
+    EXPECT_TRUE(fast_verdict(g, tm, ConstraintKind::kSingleFailure, 0.7, sg));
+}
+
+#if POC_OBS_ENABLED
+std::uint64_t counter(const char* name) {
+    for (const auto& c : obs::registry().counter_samples()) {
+        if (c.name == name) return c.value;
+    }
+    return 0;
+}
+
+TEST(OracleVerdictCounters, SumToRealEvaluations) {
+    // A small memoized auction per constraint: the four verdict
+    // counters partition the evaluations that reached the oracle, and
+    // the memo's hits reach none of them.
+    util::Rng rng(151);
+    const net::Graph g = test::random_connected(rng, 10, 24);
+    std::vector<BpBid> bids;
+    for (std::size_t b = 0; b < 4; ++b) bids.emplace_back(BpId{b}, "BP" + std::to_string(b));
+    for (const net::LinkId l : g.all_links()) {
+        bids[l.index() % 4].offer(l, util::Money::from_dollars(rng.uniform(50.0, 500.0)));
+    }
+    const OfferPool pool(bids, {}, g);
+    const net::TrafficMatrix tm = {{net::NodeId{0u}, net::NodeId{9u}, 3.0},
+                                   {net::NodeId{2u}, net::NodeId{7u}, 2.0},
+                                   {net::NodeId{4u}, net::NodeId{5u}, 1.0}};
+    const char* const kVerdicts[] = {
+        "market.oracle.greedy_accepts", "market.oracle.greedy_rejects",
+        "market.oracle.connectivity_rejects", "market.oracle.bridge_rejects"};
+    for (const ConstraintKind kind : {ConstraintKind::kLoad, ConstraintKind::kSingleFailure,
+                                      ConstraintKind::kPerPairFailure}) {
+        OracleOptions oopt;
+        oopt.fidelity = OracleFidelity::kFast;
+        const AcceptabilityOracle oracle(g, tm, kind, oopt);
+        DeltaReclearState delta;
+        AuctionOptions aopt;
+        aopt.delta = &delta;
+        obs::registry().reset();
+        const auto result = run_auction(pool, oracle, aopt);
+        ASSERT_TRUE(result.has_value()) << constraint_name(kind);
+        std::uint64_t verdicts = 0;
+        for (const char* name : kVerdicts) verdicts += counter(name);
+        EXPECT_EQ(verdicts, result->oracle_queries) << constraint_name(kind);
+        EXPECT_EQ(verdicts, counter("market.auction.oracle_queries")) << constraint_name(kind);
+        EXPECT_GT(counter("market.oracle.greedy_accepts"), 0u) << constraint_name(kind);
+        EXPECT_GT(result->oracle_cache_hits, 0u) << constraint_name(kind);
+    }
+}
+#endif  // POC_OBS_ENABLED
+
+}  // namespace
+}  // namespace poc::market
