@@ -1,6 +1,8 @@
 #include "market/auction_cache.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <span>
 
 #include "util/hash.hpp"
@@ -17,16 +19,35 @@ LinkSetKey::LinkSetKey(const std::vector<net::LinkId>& links) {
     canonicalize();
 }
 
+namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "pack8 reads eight mask bytes with one little-endian load");
+
+/// Bit b of the result is byte b of `bytes`, for bytes that are 0 or 1
+/// (every Subgraph mask byte is: see Subgraph::set_active). One load;
+/// the multiply gathers each byte's low bit into the top byte with no
+/// carries between them (every partial product lands on its own bit).
+std::uint8_t pack8(const char* bytes) {
+    std::uint64_t x;
+    std::memcpy(&x, bytes, sizeof x);
+    return static_cast<std::uint8_t>((x * 0x0102040810204080ULL) >> 56);
+}
+
+}  // namespace
+
 LinkSetKey::LinkSetKey(const net::Subgraph& sg) {
     const std::span<const char> mask = sg.mask();
     words_.resize((mask.size() + 63) / 64);
     for (std::size_t w = 0; w < words_.size(); ++w) {
-        // Accumulate in a local: a store through words_ inside the byte
-        // loop could alias the char mask and would be redone per byte.
-        const std::span<const char> chunk =
-            mask.subspan(w * 64, std::min<std::size_t>(64, mask.size() - w * 64));
+        // Accumulate in a local: a store through words_ inside the loop
+        // could alias the char mask and would be redone per load.
+        const std::size_t begin = w * 64;
+        const std::size_t end = std::min(begin + 64, mask.size());
         std::uint64_t bits = 0;
-        for (std::size_t b = 0; b < chunk.size(); ++b) bits |= std::uint64_t{chunk[b] != 0} << b;
+        std::size_t i = begin;
+        for (; i + 8 <= end; i += 8) bits |= std::uint64_t{pack8(mask.data() + i)} << (i - begin);
+        for (; i < end; ++i) bits |= std::uint64_t{mask[i] != 0} << (i - begin);
         words_[w] = bits;
     }
     canonicalize();
@@ -93,10 +114,13 @@ AuctionCache::Stats AuctionCache::stats() const {
     return s;
 }
 
-bool CachingOracle::accepts_impl(const net::Subgraph& sg) const {
+bool CachingOracle::lookup(const net::Subgraph& sg, OracleWitness* witness) const {
     const LinkSetKey key(sg);
-    if (const auto cached = cache_->find_verdict(key)) return *cached;
-    const bool verdict = inner_->accepts(sg);
+    if (const auto cached = cache_->find_verdict(key)) {
+        if (*cached && witness != nullptr) witness->disarm();
+        return *cached;
+    }
+    const bool verdict = inner_->accepts(sg, witness);
     cache_->store_verdict(key, verdict);
     return verdict;
 }

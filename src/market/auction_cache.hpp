@@ -122,7 +122,14 @@ public:
     }
 
 private:
-    bool accepts_impl(const net::Subgraph& sg) const override;
+    bool accepts_impl(const net::Subgraph& sg) const override { return lookup(sg, nullptr); }
+    bool accepts_witnessed(const net::Subgraph& sg, OracleWitness& witness) const override {
+        return lookup(sg, &witness);
+    }
+    /// A hit answers here; a miss asks the wrapped oracle, passing the
+    /// witness down. A hit that accepts disarms the witness, since the
+    /// wrapped oracle never ran on the set the pass now commits.
+    bool lookup(const net::Subgraph& sg, OracleWitness* witness) const;
 
     const Oracle* inner_;
     AuctionCache* cache_;

@@ -1,6 +1,9 @@
 #include "market/bid.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "util/contracts.hpp"
 
@@ -54,10 +57,15 @@ std::optional<util::Money> BpBid::cost(const std::vector<net::LinkId>& subset) c
         }
     }
 
+    return tiered(additive, subset.size());
+}
+
+util::Money BpBid::tiered(util::Money additive, std::size_t links) const {
+    if (links == 0) return util::Money{};
     // Largest applicable volume tier.
     double best_fraction = 0.0;
     for (const DiscountTier& t : tiers_) {
-        if (subset.size() >= t.min_links) best_fraction = std::max(best_fraction, t.fraction);
+        if (links >= t.min_links) best_fraction = std::max(best_fraction, t.fraction);
     }
     return additive.scaled(1.0 - best_fraction);
 }
@@ -93,15 +101,19 @@ OfferPool::OfferPool(std::vector<BpBid> bids, VirtualLinkContract virtual_links,
     : bids_(std::move(bids)), virtual_links_(std::move(virtual_links)), graph_(&graph) {
     POC_EXPECTS(bids_.size() < kNotOffered);
     party_by_link_.assign(graph.link_count(), kNotOffered);
-    const auto claim = [&](net::LinkId l, std::size_t party) {
+    price_by_link_.assign(graph.link_count(), util::Money{});
+    const auto claim = [&](net::LinkId l, std::size_t party, util::Money price) {
         POC_EXPECTS(l.index() < graph.link_count());
         POC_EXPECTS(party_by_link_[l.index()] == kNotOffered);  // one owner per link
         party_by_link_[l.index()] = static_cast<std::uint32_t>(party);
+        price_by_link_[l.index()] = price;
     };
     for (std::size_t i = 0; i < bids_.size(); ++i) {
-        for (const net::LinkId l : bids_[i].offered_links()) claim(l, i);
+        for (const net::LinkId l : bids_[i].offered_links()) claim(l, i, bids_[i].base_price(l));
     }
-    for (const net::LinkId l : virtual_links_.links()) claim(l, bids_.size());
+    for (const net::LinkId l : virtual_links_.links()) {
+        claim(l, bids_.size(), virtual_links_.price(l));
+    }
     for (std::size_t i = 0; i < party_by_link_.size(); ++i) {
         if (party_by_link_[i] != kNotOffered) offered_.emplace_back(i);
     }
@@ -131,33 +143,69 @@ BpId OfferPool::owner(net::LinkId link) const {
     return p < bids_.size() ? bids_[p].bp() : BpId{};
 }
 
-std::optional<util::Money> OfferPool::total_cost(const std::vector<net::LinkId>& links) const {
-    // Group the links by pricing party with one stable counting sort, so
-    // each share keeps its input order: begin[p]..begin[p + 1] is party
-    // p's share, the virtual links last.
-    const std::size_t parties = bids_.size() + 1;
-    std::vector<std::size_t> begin(parties + 1, 0);
-    for (const net::LinkId l : links) ++begin[party(l) + 1];
-    for (std::size_t p = 0; p < parties; ++p) begin[p + 1] += begin[p];
-    std::vector<net::LinkId> grouped(links.size());
-    std::vector<std::size_t> next(begin.begin(), begin.end() - 1);
-    for (const net::LinkId l : links) grouped[next[party_by_link_[l.index()]]++] = l;
+util::Money OfferPool::price(net::LinkId link) const {
+    POC_EXPECTS(is_offered(link));
+    return price_by_link_[link.index()];
+}
 
-    const auto share_of = [&](std::size_t p, std::vector<net::LinkId>& share) {
-        share.assign(grouped.begin() + static_cast<std::ptrdiff_t>(begin[p]),
-                     grouped.begin() + static_cast<std::ptrdiff_t>(begin[p + 1]));
-    };
+template <class ForEachLink>
+std::optional<util::Money> OfferPool::grouped_cost(ForEachLink&& for_each_link) const {
+    // One pass sums each pricing party's link count and base prices
+    // (exact integer micros, so order does not matter); the virtual
+    // links are party bids_.size(). Only a bid with bundle overrides
+    // needs its share as a list, kept in input order, since an override
+    // matches an exact bundle.
+    const std::size_t parties = bids_.size() + 1;
+    std::vector<std::size_t> count(parties, 0);
+    std::vector<util::Money> additive(parties);
+    for_each_link([&](net::LinkId l) {
+        const std::size_t p = party(l);
+        ++count[p];
+        additive[p] += price_by_link_[l.index()];
+    });
     util::Money total{};
     std::vector<net::LinkId> share;
     for (std::size_t p = 0; p < bids_.size(); ++p) {
-        share_of(p, share);
-        const auto c = bids_[p].cost(share);
+        const BpBid& bid = bids_[p];
+        if (!bid.has_bundle_overrides()) {
+            total += bid.tiered(additive[p], count[p]);
+            continue;
+        }
+        share.clear();
+        for_each_link([&](net::LinkId l) {
+            if (party_by_link_[l.index()] == p) share.push_back(l);
+        });
+        const auto c = bid.cost(share);
         if (!c) return std::nullopt;
         total += *c;
     }
-    share_of(bids_.size(), share);
-    total += virtual_links_.cost(share);
-    return total;
+    return total + additive[bids_.size()];
+}
+
+std::optional<util::Money> OfferPool::total_cost(const std::vector<net::LinkId>& links) const {
+    return grouped_cost([&](auto&& f) {
+        for (const net::LinkId l : links) f(l);
+    });
+}
+
+std::optional<util::Money> OfferPool::total_cost(const net::Subgraph& sg) const {
+    const std::span<const char> mask = sg.mask();
+    return grouped_cost([&](auto&& f) {
+        // Late in a deletion pass few links are active: skip all-zero
+        // runs of eight mask bytes with one load.
+        std::size_t i = 0;
+        for (; i + 8 <= mask.size(); i += 8) {
+            std::uint64_t bytes;
+            std::memcpy(&bytes, mask.data() + i, sizeof bytes);
+            if (bytes == 0) continue;
+            for (std::size_t j = i; j < i + 8; ++j) {
+                if (mask[j] != 0) f(net::LinkId{j});
+            }
+        }
+        for (; i < mask.size(); ++i) {
+            if (mask[i] != 0) f(net::LinkId{i});
+        }
+    });
 }
 
 std::vector<net::LinkId> OfferPool::offered_links_without(BpId bp) const {

@@ -59,6 +59,10 @@ public:
     /// be sorted.
     std::optional<util::Money> cost(const std::vector<net::LinkId>& subset) const;
 
+    /// The additive+tier price of `links` offered links whose base prices
+    /// sum to `additive`: cost() for a subset no bundle override matches.
+    util::Money tiered(util::Money additive, std::size_t links) const;
+
     bool has_bundle_overrides() const noexcept { return !bundle_overrides_.empty(); }
     const std::vector<DiscountTier>& discounts() const noexcept { return tiers_; }
     /// The largest volume-discount fraction across all tiers (0 if none).
@@ -124,12 +128,20 @@ public:
     /// virtual links. Requires the link to be offered.
     BpId owner(net::LinkId link) const;
     bool is_virtual(net::LinkId link) const { return !owner(link).valid(); }
+    /// Price of one offered link as offered: its bid's base price, or
+    /// the contract price of a virtual link. Requires the link to be
+    /// offered.
+    util::Money price(net::LinkId link) const;
 
     /// Total cost C(L) of an arbitrary link set: sum over BPs of
     /// C_alpha(L intersect L_alpha) plus C_v(L intersect VL). Returns
     /// nullopt if any BP prices its share to infinity. Every link must
-    /// be offered. One pass over `links`, whatever the number of BPs.
+    /// be offered. One pass over `links`, whatever the number of BPs,
+    /// plus one per bid with bundle overrides.
     std::optional<util::Money> total_cost(const std::vector<net::LinkId>& links) const;
+    /// total_cost of the Subgraph's active links, read straight from its
+    /// mask in id order: the same value as total_cost(sg.active_links()).
+    std::optional<util::Money> total_cost(const net::Subgraph& sg) const;
 
     /// The subset of `links` owned by `bp`.
     std::vector<net::LinkId> owned_subset(const std::vector<net::LinkId>& links, BpId bp) const;
@@ -141,11 +153,19 @@ private:
     /// or bids_.size() for a virtual link.
     std::size_t party(net::LinkId link) const;
 
+    /// total_cost over the links `for_each_link(f)` passes to `f`, in the
+    /// same order on every call.
+    template <class ForEachLink>
+    std::optional<util::Money> grouped_cost(ForEachLink&& for_each_link) const;
+
     std::vector<BpBid> bids_;
     VirtualLinkContract virtual_links_;
     const net::Graph* graph_;
     std::vector<net::LinkId> offered_;
     std::vector<std::uint32_t> party_by_link_;  // indexed by link id; kNotOffered if absent
+    /// Base price (BP links) or contract price (virtual links), indexed
+    /// by link id; zero if not offered.
+    std::vector<util::Money> price_by_link_;
 };
 
 }  // namespace poc::market

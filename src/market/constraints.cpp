@@ -1,11 +1,22 @@
 #include "market/constraints.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <span>
+
 #include "net/connectivity.hpp"
 #include "net/mcf.hpp"
 #include "obs/metrics.hpp"
 #include "util/hash.hpp"
 
 namespace poc::market {
+
+namespace {
+/// The node-cut screen rejects only when a node's need exceeds its
+/// capacity by this fraction of (demand + capacity): far above the
+/// floating-point slack greedy's sums can build up (DESIGN.md §6).
+constexpr double kNodeCutMargin = 1e-6;
+}  // namespace
 
 const char* constraint_name(ConstraintKind kind) {
     switch (kind) {
@@ -28,11 +39,47 @@ AcceptabilityOracle::AcceptabilityOracle(const net::Graph& graph, net::TrafficMa
     for (const net::Demand& d : tm_) {
         if (!(d.gbps <= 0.0) && !net::greedy_success_connects(d)) unproven_by_greedy_.push_back(d);
     }
+
+    // The node-cut screen's table. The screen stays off wherever greedy
+    // would throw rather than reject (a demand greedy places with equal
+    // or unknown endpoints, a capacity that makes its weights NaN), and
+    // on instances so large that its margin would no longer dominate
+    // the rounding bound.
+    if (opt_.fidelity != OracleFidelity::kFast) return;
+    if (4 * tm_.size() + graph.link_count() >= 100'000'000) return;
+    for (const net::LinkId l : graph.all_links()) {
+        if (!std::isfinite(graph.link(l).capacity_gbps)) return;
+    }
+    std::vector<NodeDemand> by_node(graph.node_count());
+    for (std::size_t n = 0; n < by_node.size(); ++n) by_node[n].node = net::NodeId{n};
+    for (const net::Demand& d : tm_) {
+        if (!net::greedy_routes(d)) continue;
+        if (d.src == d.dst || d.src.index() >= by_node.size() ||
+            d.dst.index() >= by_node.size()) {
+            return;
+        }
+        const double need = net::greedy_fit_floor(d);
+        for (const net::NodeId end : {d.src, d.dst}) {
+            by_node[end.index()].need += need;
+            by_node[end.index()].gbps += d.gbps;
+        }
+    }
+    // A NaN demand makes its nodes' sums NaN, which drops them here.
+    for (const NodeDemand& nd : by_node) {
+        if (nd.need > 0.0) node_demands_.push_back(nd);
+    }
 }
 
 bool AcceptabilityOracle::accepts_impl(const net::Subgraph& sg) const {
     POC_EXPECTS(&sg.graph() == graph_);
-    return opt_.fidelity == OracleFidelity::kExact ? accepts_exact(sg) : accepts_fast(sg);
+    return opt_.fidelity == OracleFidelity::kExact ? accepts_exact(sg) : accepts_fast(sg, nullptr);
+}
+
+bool AcceptabilityOracle::accepts_witnessed(const net::Subgraph& sg,
+                                            OracleWitness& witness) const {
+    POC_EXPECTS(&sg.graph() == graph_);
+    return opt_.fidelity == OracleFidelity::kExact ? accepts_exact(sg)
+                                                   : accepts_fast(sg, &witness);
 }
 
 std::optional<std::uint64_t> AcceptabilityOracle::verdict_fingerprint() const {
@@ -76,18 +123,58 @@ bool AcceptabilityOracle::accepts_exact(const net::Subgraph& sg) const {
     return false;
 }
 
-bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg) const {
+bool AcceptabilityOracle::footprint_kept(const net::Subgraph& sg,
+                                         const OracleWitness* witness) const {
+    if (witness == nullptr || witness->armed_by_ != this) return false;
+    return std::all_of(witness->footprint_.begin(), witness->footprint_.end(),
+                       [&](net::LinkId l) { return sg.is_active(l); });
+}
+
+bool AcceptabilityOracle::node_cut(const net::Subgraph& sg, double utilization_cap) const {
+    // Greedy places flow on simple paths, so each unit of a demand
+    // crosses one link at each endpoint, and a link carries at most its
+    // capacity times the cap. Ties, and anything within the margin, go
+    // to greedy.
+    const net::Graph& g = *graph_;
+    const std::span<const double> capacity = g.link_soa().capacity_gbps;
+    for (const NodeDemand& nd : node_demands_) {
+        double cap = 0.0;
+        for (const net::LinkId l : g.incident(nd.node)) {
+            if (sg.is_active(l)) cap += capacity[l.index()];
+        }
+        const double avail = utilization_cap * cap;
+        if (nd.need - avail > kNodeCutMargin * (nd.gbps + avail)) return true;
+    }
+    return false;
+}
+
+bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg, OracleWitness* witness) const {
     // Each evaluation bumps exactly one verdict counter: the screen that
-    // rejected it, or greedy_accepts.
+    // rejected it, certified_accepts, or greedy_accepts. A certified
+    // accept replaces only the greedy runs; every other screen still
+    // runs on `sg`.
+    bool certified = footprint_kept(sg, witness);
+    net::GreedyRoutingOptions gopt;
+    if (witness != nullptr) {
+        witness->scratch_.clear();
+        gopt.footprint = &witness->scratch_;
+    }
+    net::CommodityExclusions primaries;
     switch (kind_) {
         case ConstraintKind::kLoad: {
             // Connectivity of every positive demand is necessary, but a
             // successful greedy routing already proves it for all
             // demands it had to place, so only the rest are screened,
             // and only after greedy succeeds.
-            if (!net::greedy_path_routing(sg, tm_).has_value()) {
-                POC_OBS_INC("market.oracle.greedy_rejects");
-                return false;
+            if (!certified) {
+                if (node_cut(sg, gopt.utilization_cap)) {
+                    POC_OBS_INC("market.oracle.nodecut_rejects");
+                    return false;
+                }
+                if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
+                    POC_OBS_INC("market.oracle.greedy_rejects");
+                    return false;
+                }
             }
             if (!unproven_by_greedy_.empty() &&
                 !net::all_pairs_connected(sg, unproven_by_greedy_)) {
@@ -108,11 +195,16 @@ bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg) const {
             }
             // (b) The matrix must fit with protection headroom: every
             //     link derated to `fast_failure_derate` of capacity.
-            net::GreedyRoutingOptions gopt;
             gopt.utilization_cap = opt_.fast_failure_derate;
-            if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
-                POC_OBS_INC("market.oracle.greedy_rejects");
-                return false;
+            if (!certified) {
+                if (node_cut(sg, gopt.utilization_cap)) {
+                    POC_OBS_INC("market.oracle.nodecut_rejects");
+                    return false;
+                }
+                if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
+                    POC_OBS_INC("market.oracle.greedy_rejects");
+                    return false;
+                }
             }
             break;
         }
@@ -123,21 +215,43 @@ bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg) const {
                 POC_OBS_INC("market.oracle.connectivity_rejects");
                 return false;
             }
-            const auto primaries = net::primary_paths(sg, tm_, opt_.path_cache);
-            if (!net::greedy_path_routing(sg, tm_).has_value()) {
-                POC_OBS_INC("market.oracle.greedy_rejects");
-                return false;
-            }
-            net::GreedyRoutingOptions gopt;
-            gopt.exclusions = &primaries;
-            if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
-                POC_OBS_INC("market.oracle.greedy_rejects");
-                return false;
+            primaries = net::primary_paths(sg, tm_, opt_.path_cache);
+            // The second greedy run excludes the primaries, so the
+            // footprint speaks for it only while they are unchanged.
+            certified = certified && primaries == witness->primaries_;
+            if (!certified) {
+                if (node_cut(sg, gopt.utilization_cap)) {
+                    POC_OBS_INC("market.oracle.nodecut_rejects");
+                    return false;
+                }
+                if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
+                    POC_OBS_INC("market.oracle.greedy_rejects");
+                    return false;
+                }
+                gopt.exclusions = &primaries;
+                if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
+                    POC_OBS_INC("market.oracle.greedy_rejects");
+                    return false;
+                }
             }
             break;
         }
     }
+    if (certified) {
+        POC_OBS_INC("market.oracle.certified_accepts");
+        return true;
+    }
     POC_OBS_INC("market.oracle.greedy_accepts");
+    if (witness != nullptr) {
+        // Arm with this run's footprint; the sets the pass asks about
+        // next are all subsets of `sg`.
+        std::vector<net::LinkId>& f = witness->scratch_;
+        std::sort(f.begin(), f.end());
+        f.erase(std::unique(f.begin(), f.end()), f.end());
+        witness->footprint_.swap(f);
+        witness->primaries_ = std::move(primaries);
+        witness->armed_by_ = this;
+    }
     return true;
 }
 

@@ -15,6 +15,7 @@
 
 #include "net/failure.hpp"
 #include "net/graph.hpp"
+#include "net/mcf.hpp"
 #include "util/retry.hpp"
 
 namespace poc::market {
@@ -57,19 +58,56 @@ struct OracleOptions {
     net::PathCache* path_cache = nullptr;
 };
 
+class Oracle;
+
+/// What one winner-determination deletion pass carries from query to
+/// query so the kFast oracle can accept without routing (DESIGN.md §6).
+/// A full evaluation that accepts arms it with the footprint of its
+/// greedy run: every link of every path a shortest-path search returned.
+/// A later query whose active set still holds the whole footprint is
+/// then the same greedy run, so it accepts.
+///
+/// That holds only for subsets of the set that armed the witness. The
+/// caller promises it: a pass only deletes links, and restores exactly
+/// the batches that were rejected. A witness belongs to one pass on one
+/// thread. A reject leaves it as it is; an accept the oracle did not
+/// evaluate (a memo hit) disarms it.
+class OracleWitness {
+public:
+    bool armed() const noexcept { return armed_by_ != nullptr; }
+    void disarm() noexcept { armed_by_ = nullptr; }
+
+private:
+    friend class AcceptabilityOracle;
+
+    /// The oracle whose greedy run the footprint describes.
+    const Oracle* armed_by_ = nullptr;
+    /// Sorted, duplicate-free link ids.
+    std::vector<net::LinkId> footprint_;
+    /// kPerPairFailure: the primary paths the armed run excluded.
+    net::CommodityExclusions primaries_;
+    /// Where a full evaluation collects its footprint before it arms.
+    std::vector<net::LinkId> scratch_;
+};
+
 /// The interface the winner-determination search drives: is the active
 /// link set acceptable? `accepts()` funnels every query through an
 /// atomic counter so the `oracle_queries` diagnostic stays exact when
 /// the auction engine fans Clarke-pivot re-solves across a thread pool.
 /// Implementations provide accepts_impl(), which must be a pure
 /// function of the active link set and safe to call concurrently.
+/// Oracles that can use or forward a witness also override
+/// accepts_witnessed(); the default drops the witness, which is always
+/// sound.
 class Oracle {
 public:
     virtual ~Oracle() = default;
 
-    bool accepts(const net::Subgraph& sg) const {
+    /// The verdict for the active set. A non-null `witness` may let the
+    /// oracle answer without evaluating; the verdict is the same.
+    bool accepts(const net::Subgraph& sg, OracleWitness* witness = nullptr) const {
         queries_.fetch_add(1, std::memory_order_relaxed);
-        return accepts_impl(sg);
+        return witness != nullptr ? accepts_witnessed(sg, *witness) : accepts_impl(sg);
     }
 
     /// Total accepts() calls over this oracle's lifetime.
@@ -99,6 +137,9 @@ protected:
 
 private:
     virtual bool accepts_impl(const net::Subgraph& sg) const = 0;
+    virtual bool accepts_witnessed(const net::Subgraph& sg, OracleWitness& /*witness*/) const {
+        return accepts_impl(sg);
+    }
 
     mutable std::atomic<std::size_t> queries_{0};
 };
@@ -121,9 +162,25 @@ public:
     std::optional<std::uint64_t> verdict_fingerprint() const override;
 
 private:
+    /// What a node must carry for greedy routing to succeed: the
+    /// demands ending there, each less greedy's fit tolerance.
+    struct NodeDemand {
+        net::NodeId node;
+        double need = 0.0;
+        /// The same demands' plain sum; scales the screen's margin.
+        double gbps = 0.0;
+    };
+
     bool accepts_impl(const net::Subgraph& sg) const override;
-    bool accepts_fast(const net::Subgraph& sg) const;
+    bool accepts_witnessed(const net::Subgraph& sg, OracleWitness& witness) const override;
+    bool accepts_fast(const net::Subgraph& sg, OracleWitness* witness) const;
     bool accepts_exact(const net::Subgraph& sg) const;
+    /// True when `witness` was armed by this oracle and `sg` keeps every
+    /// link of its footprint.
+    bool footprint_kept(const net::Subgraph& sg, const OracleWitness* witness) const;
+    /// True when some node's demand exceeds its active capacity at
+    /// `utilization_cap`, so greedy routing must fail.
+    bool node_cut(const net::Subgraph& sg, double utilization_cap) const;
 
     const net::Graph* graph_;
     net::TrafficMatrix tm_;
@@ -132,6 +189,9 @@ private:
     /// kFast kLoad screens connectivity only for these demands (usually
     /// none): see accepts_fast.
     net::TrafficMatrix unproven_by_greedy_;
+    /// The node-cut screen's table: nodes with a positive need. Empty
+    /// when the screen is off (see the constructor).
+    std::vector<NodeDemand> node_demands_;
 };
 
 /// Decorator that makes any oracle *fallible*: before each query it
@@ -168,10 +228,15 @@ public:
     }
 
 private:
-    bool accepts_impl(const net::Subgraph& sg) const override {
+    bool accepts_impl(const net::Subgraph& sg) const override { return forward(sg, nullptr); }
+    bool accepts_witnessed(const net::Subgraph& sg, OracleWitness& witness) const override {
+        return forward(sg, &witness);
+    }
+
+    bool forward(const net::Subgraph& sg, OracleWitness* witness) const {
         if (fault_) fault_();
         if (deadline_ != nullptr) deadline_->check();
-        return inner_->accepts(sg);
+        return inner_->accepts(sg, witness);
     }
 
     const Oracle* inner_;

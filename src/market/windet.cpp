@@ -8,14 +8,6 @@ namespace poc::market {
 
 namespace {
 
-/// Price of one link as offered (base price for BP links, contract
-/// price for virtual links), used for removal ordering.
-util::Money unit_price(const OfferPool& pool, net::LinkId link) {
-    const BpId owner = pool.owner(link);
-    if (owner.valid()) return pool.bid(owner).base_price(link);
-    return pool.virtual_links().price(link);
-}
-
 /// Expensive-per-gbps links are removal candidates first. The key is
 /// computed once per link, not per comparison.
 std::vector<net::LinkId> removal_order(const OfferPool& pool,
@@ -23,7 +15,7 @@ std::vector<net::LinkId> removal_order(const OfferPool& pool,
     std::vector<std::pair<double, net::LinkId>> keyed;
     keyed.reserve(links.size());
     for (const net::LinkId l : links) {
-        keyed.emplace_back(unit_price(pool, l).dollars() / pool.graph().link(l).capacity_gbps, l);
+        keyed.emplace_back(pool.price(l).dollars() / pool.graph().link(l).capacity_gbps, l);
     }
     std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
         if (a.first != b.first) return a.first > b.first;
@@ -35,23 +27,26 @@ std::vector<net::LinkId> removal_order(const OfferPool& pool,
     return order;
 }
 
-/// State for the batched reverse deletion: active set + its cost.
+/// State for the batched reverse deletion: active set + its cost, and
+/// the oracle witness its queries share. Every query is on a subset of
+/// the last committed set, the precondition the witness needs.
 class DeletionPass {
 public:
     DeletionPass(const OfferPool& pool, const Oracle& oracle, net::Subgraph& sg,
-                 util::Money current_cost)
-        : pool_(pool), oracle_(oracle), sg_(sg), cost_(current_cost) {}
+                 util::Money current_cost, OracleWitness& witness)
+        : pool_(pool), oracle_(oracle), sg_(sg), cost_(current_cost), witness_(witness) {}
 
     util::Money cost() const noexcept { return cost_; }
 
     /// Try removing `batch` (all currently active). Commits when the
     /// result stays acceptable and does not cost more (tier discounts
-    /// can make deletions *raise* C). On rejection, bisects.
+    /// can make deletions *raise* C). On rejection, bisects. The set is
+    /// priced before the oracle is asked, so every accept commits.
     void try_remove(const std::vector<net::LinkId>& batch) {
         if (batch.empty()) return;
         for (const net::LinkId l : batch) sg_.set_active(l, false);
-        const auto new_cost = pool_.total_cost(sg_.active_links());
-        if (new_cost && *new_cost <= cost_ && oracle_.accepts(sg_)) {
+        const auto new_cost = pool_.total_cost(sg_);
+        if (new_cost && *new_cost <= cost_ && oracle_.accepts(sg_, &witness_)) {
             cost_ = *new_cost;
             return;  // committed
         }
@@ -67,6 +62,7 @@ private:
     const Oracle& oracle_;
     net::Subgraph& sg_;
     util::Money cost_;
+    OracleWitness& witness_;
 };
 
 }  // namespace
@@ -76,12 +72,13 @@ std::optional<Selection> select_links(const OfferPool& pool, const Oracle& oracl
                                       const WinnerDeterminationOptions& opt) {
     POC_EXPECTS(opt.batch_size >= 1);
     net::Subgraph sg(pool.graph(), available);
-    if (!oracle.accepts(sg)) return std::nullopt;
+    OracleWitness witness;
+    if (!oracle.accepts(sg, &witness)) return std::nullopt;
 
-    const auto full_cost = pool.total_cost(available);
+    const auto full_cost = pool.total_cost(sg);
     POC_EXPECTS(full_cost.has_value());  // offered sets are always priced
 
-    DeletionPass pass(pool, oracle, sg, *full_cost);
+    DeletionPass pass(pool, oracle, sg, *full_cost, witness);
     const std::vector<net::LinkId> order = removal_order(pool, available);
 
     std::size_t i = 0;

@@ -20,11 +20,13 @@ double path_weight(const std::vector<LinkId>& links, const Weight& weight) {
 
 /// Yen's loop from the first (shortest) path onward. `Weight` is a
 /// LinkWeight or a LinkWeightArray; both feed shortest_path the same
-/// doubles, so the paths are identical for equal weights.
+/// doubles, so the paths are identical for equal weights. Spur paths
+/// are appended to a non-null `footprint`.
 template <class Weight>
 std::vector<WeightedPath> yen_from_first(const Subgraph& sg, NodeId src, NodeId dst,
                                          const Weight& weight, std::size_t k,
-                                         SsspWorkspace& ws, WeightedPath first) {
+                                         SsspWorkspace& ws, WeightedPath first,
+                                         std::vector<LinkId>* footprint) {
     POC_EXPECTS(k >= 1);
     POC_EXPECTS(src != dst);
     const Graph& g = sg.graph();
@@ -77,6 +79,9 @@ std::vector<WeightedPath> yen_from_first(const Subgraph& sg, NodeId src, NodeId 
             }
 
             if (auto spur = shortest_path(work, spur_node, dst, weight, ws)) {
+                if (footprint != nullptr) {
+                    footprint->insert(footprint->end(), spur->links.begin(), spur->links.end());
+                }
                 WeightedPath total;
                 total.links = root;
                 total.links.insert(total.links.end(), spur->links.begin(), spur->links.end());
@@ -121,13 +126,14 @@ std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId 
     POC_EXPECTS(src != dst);
     auto first = shortest_path(sg, src, dst, weight, ws);
     if (!first) return {};
-    return yen_from_first(sg, src, dst, weight, k, ws, std::move(*first));
+    return yen_from_first(sg, src, dst, weight, k, ws, std::move(*first), nullptr);
 }
 
 std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
                                          const LinkWeightArray& weight, std::size_t k,
-                                         SsspWorkspace& ws, WeightedPath first) {
-    return yen_from_first(sg, src, dst, weight, k, ws, std::move(first));
+                                         SsspWorkspace& ws, WeightedPath first,
+                                         std::vector<LinkId>* footprint) {
+    return yen_from_first(sg, src, dst, weight, k, ws, std::move(first), footprint);
 }
 
 }  // namespace poc::net

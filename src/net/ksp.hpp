@@ -29,9 +29,12 @@ std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId 
 /// would otherwise compute again as its first path. Lets a caller that
 /// only sometimes needs more than one path (greedy routing) pay for the
 /// other k-1 only then. Identical results to the LinkWeight overloads
-/// given the same doubles.
+/// given the same doubles. With a `footprint`, the links of every spur
+/// path a search returns are appended to it, whether or not that spur's
+/// candidate is picked (greedy routing's footprint, net/mcf.hpp).
 std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
                                          const LinkWeightArray& weight, std::size_t k,
-                                         SsspWorkspace& ws, WeightedPath first);
+                                         SsspWorkspace& ws, WeightedPath first,
+                                         std::vector<LinkId>* footprint = nullptr);
 
 }  // namespace poc::net

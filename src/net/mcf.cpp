@@ -16,12 +16,19 @@ constexpr double kEps = 1e-12;
 /// Candidate paths per commodity in greedy routing.
 constexpr std::size_t kGreedyPaths = 4;
 
+/// How much of a demand may stay unplaced when it counts as fitted.
+double fit_tolerance(double gbps) { return 1e-9 * std::max(1.0, gbps); }
+
 /// Greedy routing's completion test: true while too much of a demand
 /// is left unplaced for it to count as fitted.
 bool exceeds_fit_tolerance(double remaining, double gbps) {
-    return remaining > 1e-9 * std::max(1.0, gbps);
+    return remaining > fit_tolerance(gbps);
 }
 }  // namespace
+
+bool greedy_routes(const Demand& d) { return !(d.gbps <= kEps); }
+
+double greedy_fit_floor(const Demand& d) { return d.gbps - fit_tolerance(d.gbps); }
 
 bool greedy_success_connects(const Demand& d) {
     return d.gbps > kEps && exceeds_fit_tolerance(d.gbps, d.gbps);
@@ -93,7 +100,7 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
 
     for (const std::size_t di : order) {
         const Demand& d = tm[di];
-        if (d.gbps <= kEps) continue;
+        if (!greedy_routes(d)) continue;
         POC_EXPECTS(d.src != d.dst);
 
         excluded_undo.clear();
@@ -113,6 +120,10 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
         // weights it would have seen had it run first.
         candidates.clear();
         if (auto first = shortest_path(usable, d.src, d.dst, weight, ws)) {
+            if (opt.footprint != nullptr) {
+                opt.footprint->insert(opt.footprint->end(), first->links.begin(),
+                                      first->links.end());
+            }
             double first_bottleneck = d.gbps;
             for (const LinkId l : first->links) {
                 first_bottleneck = std::min(first_bottleneck, residual[l.index()]);
@@ -122,7 +133,7 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
             } else {
                 POC_OBS_INC("net.greedy.yen_fallbacks");
                 candidates = yen_k_shortest(usable, d.src, d.dst, weight, kGreedyPaths, ws,
-                                            std::move(*first));
+                                            std::move(*first), opt.footprint);
             }
         }
         double remaining = d.gbps;

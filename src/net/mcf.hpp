@@ -45,6 +45,13 @@ struct GreedyRoutingOptions {
     double utilization_cap = 1.0;
     /// Optional per-commodity forbidden links (size == tm.size()).
     const CommodityExclusions* exclusions = nullptr;
+    /// Optional output: the run's footprint. Every link of every path a
+    /// shortest-path search returned is appended (duplicates included):
+    /// each demand's first path and every Yen spur path, also those of
+    /// candidates the placement never used. Removing links outside the
+    /// footprint leaves the run unchanged (DESIGN.md §6), which is what
+    /// the acceptability oracle's certificate rests on.
+    std::vector<LinkId>* footprint = nullptr;
 };
 
 /// Water-filling over up to 4 Yen candidate paths per demand, demands
@@ -60,6 +67,15 @@ struct GreedyRoutingOptions {
 /// four candidates per demand under a per-relaxation weight function.
 std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const TrafficMatrix& tm,
                                                     const GreedyRoutingOptions& opt = {});
+
+/// True when greedy_path_routing routes `d`; it skips demands of 1e-12
+/// gbps or less.
+bool greedy_routes(const Demand& d);
+
+/// The least flow a successful greedy_path_routing places for a demand
+/// it routes: the volume less the completion tolerance of
+/// 1e-9 · max(1, gbps). Negative for a demand within the tolerance.
+double greedy_fit_floor(const Demand& d);
 
 /// True when greedy_path_routing can fit `d` only by placing at least
 /// one path for it, so a successful routing proves the demand's

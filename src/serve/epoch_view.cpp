@@ -66,11 +66,14 @@ std::shared_ptr<const EpochView> build_epoch_view(
     // Path trees over the provisioned backbone, one per source. An
     // unprovisioned epoch still gets trees (every node isolated), so
     // path queries answer kUnreachable instead of faulting.
+    // One workspace serves every source; the inlined length metric reads
+    // the same doubles as weight_by_length, so the trees are identical.
     const net::Subgraph backbone(graph, view->backbone);
-    const net::LinkWeight weight = net::weight_by_length(graph);
+    net::SsspWorkspace ws;
     view->trees.reserve(graph.node_count());
     for (std::size_t n = 0; n < graph.node_count(); ++n) {
-        view->trees.push_back(net::dijkstra(backbone, net::NodeId(n), weight));
+        net::dijkstra_metric_into(backbone, net::NodeId(n), net::SsspMetric::kLength, ws);
+        view->trees.push_back(ws.to_tree());
     }
 
     // Balances for every party the ledger has seen, in first-seen

@@ -243,6 +243,8 @@ TEST(OfferPoolTest, TotalCostMatchesPerBidReference) {
             const auto expected = reference_total_cost(pool, subset);
             const auto got = pool.total_cost(subset);
             ASSERT_EQ(expected, got) << "round " << round << " subset size " << subset.size();
+            // Pricing a Subgraph's mask gives the same total.
+            ASSERT_EQ(expected, pool.total_cost(net::Subgraph(g, subset))) << "round " << round;
         }
         if (!share.empty()) {
             // The override is what prices BP0's share of that subset.
@@ -265,6 +267,7 @@ TEST(OfferPoolTest, TotalCostRejectsUnofferedLinks) {
     const OfferPool pool({bid}, {}, g);
     EXPECT_THROW((void)pool.total_cost({l0, l1}), util::ContractViolation);
     EXPECT_THROW((void)pool.total_cost({net::LinkId{7u}}), util::ContractViolation);
+    EXPECT_THROW((void)pool.total_cost(net::Subgraph(g)), util::ContractViolation);
 }
 
 }  // namespace

@@ -5,16 +5,23 @@
 // the demands a successful greedy run does not prove connected, and
 // lets kSingleFailure's bridge screen (a stricter connectivity check on
 // a subgraph) stand in for the plain one. Neither may change a verdict.
+//
+// A second reference, frozen from the kFast body as it stood before the
+// footprint certificate and the node-cut screen, checks that neither
+// changes a verdict inside a deletion pass.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include "helpers/graphs.hpp"
+#include "market/auction_cache.hpp"
 #include "market/delta_reclear.hpp"
 #include "market/vcg.hpp"
 #include "net/connectivity.hpp"
 #include "net/mcf.hpp"
+#include "net/path_cache.hpp"
 #include "obs/metrics.hpp"
 #include "topo/synthetic.hpp"
 #include "util/rng.hpp"
@@ -171,6 +178,210 @@ TEST(OracleIdentity, DerateCapsMatchReference) {
     EXPECT_TRUE(fast_verdict(g, tm, ConstraintKind::kSingleFailure, 0.7, sg));
 }
 
+/// The kFast verdict with every greedy run evaluated in full: no
+/// footprint certificate and no node-cut screen.
+bool full_evaluation_reference(const net::Subgraph& sg, const net::TrafficMatrix& tm,
+                               ConstraintKind kind, double derate) {
+    switch (kind) {
+        case ConstraintKind::kLoad: {
+            if (!net::greedy_path_routing(sg, tm).has_value()) return false;
+            net::TrafficMatrix unproven;
+            for (const net::Demand& d : tm) {
+                if (!(d.gbps <= 0.0) && !net::greedy_success_connects(d)) unproven.push_back(d);
+            }
+            return unproven.empty() || net::all_pairs_connected(sg, unproven);
+        }
+        case ConstraintKind::kSingleFailure: {
+            net::Subgraph no_bridges = sg;
+            for (const net::LinkId b : net::find_bridges(sg)) no_bridges.set_active(b, false);
+            if (!net::all_pairs_connected(no_bridges, tm)) return false;
+            net::GreedyRoutingOptions gopt;
+            gopt.utilization_cap = derate;
+            return net::greedy_path_routing(sg, tm, gopt).has_value();
+        }
+        case ConstraintKind::kPerPairFailure: {
+            if (!net::all_pairs_connected(sg, tm)) return false;
+            const auto primaries = net::primary_paths(sg, tm, nullptr);
+            if (!net::greedy_path_routing(sg, tm).has_value()) return false;
+            net::GreedyRoutingOptions gopt;
+            gopt.exclusions = &primaries;
+            return net::greedy_path_routing(sg, tm, gopt).has_value();
+        }
+    }
+    return false;
+}
+
+/// A multigraph built for ties: a spanning chain plus random node
+/// pairs, every pair joined by 1-4 parallel links, and every link of
+/// the same capacity and the same `length` (1 or 0).
+net::Graph tie_heavy(util::Rng& rng, std::size_t n, std::size_t pairs, double length) {
+    net::Graph g;
+    g.add_nodes(n);
+    const auto join = [&](std::size_t a, std::size_t b) {
+        const auto parallel = 1 + rng.uniform_int(std::uint64_t{4});
+        for (std::uint64_t k = 0; k < parallel; ++k) {
+            g.add_link(net::NodeId{a}, net::NodeId{b}, 10.0, length);
+        }
+    };
+    for (std::size_t i = 0; i + 1 < n; ++i) join(i, i + 1);
+    for (std::size_t e = 0; e < pairs; ++e) {
+        const auto a = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+        auto b = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+        if (a == b) b = (b + 1) % n;
+        join(a, b);
+    }
+    return g;
+}
+
+struct PassTally {
+    int accepted = 0;
+    int rejected = 0;
+    int memo_hit_accepts = 0;
+};
+
+/// One deletion pass in random order and random batch sizes, committing
+/// each accepted batch and restoring each rejected one, with every
+/// query compared against the full evaluation. When `memo` is set,
+/// some queries are first answered without the witness (as another
+/// pivot would), so the witnessed query is a memo hit.
+void random_pass(util::Rng& rng, const net::Graph& g, const net::TrafficMatrix& tm,
+                 ConstraintKind kind, double derate, const Oracle& oracle,
+                 const Oracle* memo, PassTally& tally) {
+    net::Subgraph sg(g);
+    OracleWitness witness;
+    const bool full = oracle.accepts(sg, &witness);
+    ASSERT_EQ(full, full_evaluation_reference(sg, tm, kind, derate));
+    if (!full) return;
+    std::vector<net::LinkId> order = g.all_links();
+    rng.shuffle(order);
+    std::size_t i = 0;
+    while (i < order.size()) {
+        const auto size = 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{6}));
+        std::vector<net::LinkId> batch;
+        for (; i < order.size() && batch.size() < size; ++i) batch.push_back(order[i]);
+        for (const net::LinkId l : batch) sg.set_active(l, false);
+        const bool memo_hit = memo != nullptr && rng.bernoulli(0.25);
+        if (memo_hit) (void)memo->accepts(sg);
+        const bool verdict = oracle.accepts(sg, &witness);
+        ASSERT_EQ(verdict, full_evaluation_reference(sg, tm, kind, derate))
+            << constraint_name(kind) << " derate " << derate << " after " << i << " links";
+        if (verdict) {
+            ++tally.accepted;
+            if (memo_hit) {
+                EXPECT_FALSE(witness.armed());
+                ++tally.memo_hit_accepts;
+            }
+        } else {
+            ++tally.rejected;
+            for (const net::LinkId l : batch) sg.set_active(l, true);
+        }
+    }
+}
+
+/// Two nodes joined by `k` parallel links of capacity `c`, and one
+/// demand across them: the node-cut screen's boundary. Scans demands
+/// around the exact capacity, the fit tolerance and greedy's largest
+/// fitting demand, and counts the demands greedy fits although the
+/// screen's plain sums say the node is over capacity: only the margin
+/// keeps those from being rejected.
+void node_cut_boundary(std::size_t k, double c, ConstraintKind kind, double derate,
+                       int& within_margin) {
+    net::Graph g;
+    g.add_nodes(2);
+    double cap = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+        g.add_link(net::NodeId{0u}, net::NodeId{1u}, c, 1.0);
+        cap += c;
+    }
+    const double ucap = kind == ConstraintKind::kLoad ? 1.0 : derate;
+    const double avail = ucap * cap;
+    OracleOptions opt;
+    opt.fidelity = OracleFidelity::kFast;
+    opt.fast_failure_derate = derate;
+    const net::Subgraph sg(g);
+    const auto check = [&](double gbps) {
+        const net::TrafficMatrix tm = {{net::NodeId{0u}, net::NodeId{1u}, gbps}};
+        const bool expected = full_evaluation_reference(sg, tm, kind, derate);
+        ASSERT_EQ(AcceptabilityOracle(g, tm, kind, opt).accepts(sg), expected)
+            << k << " x " << c << " gbps, " << constraint_name(kind) << " at " << ucap
+            << ", demand " << gbps;
+        if (expected && gbps - 1e-9 * std::max(1.0, gbps) > avail) ++within_margin;
+    };
+    check(avail);                  // exactly the cut
+    check(avail * (1.0 + 5e-10));  // within greedy's fit tolerance
+    check(avail * (1.0 + 2e-9));   // past it
+    double gbps = avail / (1.0 - 1e-9);
+    for (int step = 0; step < 64; ++step) gbps = std::nextafter(gbps, 0.0);
+    for (int step = 0; step < 128; ++step) {
+        check(gbps);
+        gbps = std::nextafter(gbps, 2.0 * gbps);
+    }
+}
+
+TEST(OracleIdentity, CertifiedVerdictsMatchFullEvaluation) {
+    util::Rng rng(173);
+    PassTally tally;
+    struct Config {
+        ConstraintKind kind;
+        double derate;
+    };
+    const Config configs[] = {{ConstraintKind::kLoad, 0.65},
+                              {ConstraintKind::kLoad, 1.0},
+                              {ConstraintKind::kSingleFailure, 0.65},
+                              {ConstraintKind::kSingleFailure, 1.0},
+                              {ConstraintKind::kPerPairFailure, 1.0}};
+    for (int round = 0; round < 24; ++round) {
+        const auto n = 5 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{6}));
+        const net::Graph g = tie_heavy(rng, n, n + 2, round % 4 == 3 ? 0.0 : 1.0);
+        net::TrafficMatrix tm =
+            random_demands(rng, n, 2 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{5})),
+                           round % 2 == 0 ? 12.0 : 25.0);
+        for (const Config& cfg : configs) {
+            OracleOptions opt;
+            opt.fidelity = OracleFidelity::kFast;
+            opt.fast_failure_derate = cfg.derate;
+            net::PathCache paths;
+            if (round % 2 == 1) opt.path_cache = &paths;
+            const AcceptabilityOracle oracle(g, tm, cfg.kind, opt);
+            random_pass(rng, g, tm, cfg.kind, cfg.derate, oracle, nullptr, tally);
+            // The same pass through the memo, with memo hits mid-pass.
+            AuctionCache cache;
+            const CachingOracle cached(oracle, cache);
+            random_pass(rng, g, tm, cfg.kind, cfg.derate, cached, &cached, tally);
+        }
+    }
+    EXPECT_GT(tally.accepted, 300);
+    EXPECT_GT(tally.rejected, 300);
+    EXPECT_GT(tally.memo_hit_accepts, 20);
+
+    // Demands at a node cut, and demands greedy skips (1e-12 gbps or
+    // less) at a node with no links left.
+    int within_margin = 0;
+    for (const std::size_t k : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+        // 0.9, 1.8 and 0.1 * 23 are capacities where the margin matters.
+        for (const double c : {10.0, 0.1, 1.0 / 3.0, 0.9, 1.8, 0.1 * 23}) {
+            node_cut_boundary(k, c, ConstraintKind::kLoad, 1.0, within_margin);
+            for (const double derate : {0.65, 0.7}) {
+                node_cut_boundary(k, c, ConstraintKind::kSingleFailure, derate, within_margin);
+            }
+        }
+    }
+    EXPECT_GT(within_margin, 0);
+    const TwoIslands is;
+    for (const double tiny : {1e-12, 1e-13}) {
+        net::Subgraph sg(is.g);
+        sg.set_active(net::LinkId{1u}, false);  // node 3 keeps no link
+        const net::TrafficMatrix tm = {{net::NodeId{0u}, net::NodeId{1u}, 5.0},
+                                       {net::NodeId{2u}, net::NodeId{3u}, tiny}};
+        for (const ConstraintKind kind : {ConstraintKind::kLoad, ConstraintKind::kSingleFailure,
+                                          ConstraintKind::kPerPairFailure}) {
+            EXPECT_EQ(fast_verdict(is.g, tm, kind, 1.0, sg),
+                      full_evaluation_reference(sg, tm, kind, 1.0))
+                << constraint_name(kind) << " " << tiny;
+        }
+    }
+}
+
 #if POC_OBS_ENABLED
 std::uint64_t counter(const char* name) {
     for (const auto& c : obs::registry().counter_samples()) {
@@ -180,7 +391,7 @@ std::uint64_t counter(const char* name) {
 }
 
 TEST(OracleVerdictCounters, SumToRealEvaluations) {
-    // A small memoized auction per constraint: the four verdict
+    // A small memoized auction per constraint: the six verdict
     // counters partition the evaluations that reached the oracle, and
     // the memo's hits reach none of them.
     util::Rng rng(151);
@@ -195,8 +406,9 @@ TEST(OracleVerdictCounters, SumToRealEvaluations) {
                                    {net::NodeId{2u}, net::NodeId{7u}, 2.0},
                                    {net::NodeId{4u}, net::NodeId{5u}, 1.0}};
     const char* const kVerdicts[] = {
-        "market.oracle.greedy_accepts", "market.oracle.greedy_rejects",
-        "market.oracle.connectivity_rejects", "market.oracle.bridge_rejects"};
+        "market.oracle.greedy_accepts",       "market.oracle.greedy_rejects",
+        "market.oracle.connectivity_rejects", "market.oracle.bridge_rejects",
+        "market.oracle.certified_accepts",    "market.oracle.nodecut_rejects"};
     for (const ConstraintKind kind : {ConstraintKind::kLoad, ConstraintKind::kSingleFailure,
                                       ConstraintKind::kPerPairFailure}) {
         OracleOptions oopt;
@@ -214,6 +426,10 @@ TEST(OracleVerdictCounters, SumToRealEvaluations) {
         EXPECT_EQ(verdicts, counter("market.auction.oracle_queries")) << constraint_name(kind);
         EXPECT_GT(counter("market.oracle.greedy_accepts"), 0u) << constraint_name(kind);
         EXPECT_GT(result->oracle_cache_hits, 0u) << constraint_name(kind);
+        if (kind == ConstraintKind::kLoad) {
+            EXPECT_GT(counter("market.oracle.certified_accepts"), 0u);
+            EXPECT_GT(counter("market.oracle.nodecut_rejects"), 0u);
+        }
     }
 }
 #endif  // POC_OBS_ENABLED

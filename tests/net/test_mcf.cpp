@@ -1,6 +1,8 @@
 #include "net/mcf.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cmath>
 
 #include "helpers/graphs.hpp"
@@ -152,6 +154,67 @@ TEST(IsRoutable, FptasFallbackCatchesGreedyMisses) {
     TrafficMatrix tm{{NodeId{0u}, NodeId{2u}, 19.0}};
     // Max flow 0->2 is 20 (two 2-hop paths of cap 10): feasible.
     EXPECT_TRUE(is_routable(sg, tm, 0.05));
+}
+
+TEST(GreedyRouting, FootprintPinsTheRun) {
+    // Removing active links outside the footprint leaves the whole run
+    // as it was: the same routes, the same verdict, the same footprint.
+    // Tie-heavy multigraphs (equal lengths and capacities, parallel
+    // links) and demands above one link's capacity, so that Yen's spur
+    // searches run and tie often.
+    util::Rng rng(97);
+    int pinned_accepts = 0;
+    int pinned_rejects = 0;
+    for (int round = 0; round < 200; ++round) {
+        const auto n = 4 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{5}));
+        Graph g;
+        g.add_nodes(n);
+        for (std::size_t e = 0; e < 2 * n; ++e) {
+            const auto a = e < n - 1 ? e : static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+            auto b = e < n - 1 ? e + 1 : static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+            if (a == b) b = (b + 1) % n;
+            const auto parallel = 1 + rng.uniform_int(std::uint64_t{3});
+            for (std::uint64_t k = 0; k < parallel; ++k) {
+                g.add_link(NodeId{a}, NodeId{b}, 10.0, 1.0);
+            }
+        }
+        TrafficMatrix tm;
+        for (int d = 0; d < 3; ++d) {
+            const auto s = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+            const auto t = (s + 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n - 1}))) % n;
+            tm.push_back({NodeId{s}, NodeId{t}, rng.uniform(2.0, 25.0)});
+        }
+        Subgraph sg(g);
+        for (const LinkId l : g.all_links()) {
+            if (rng.bernoulli(0.2)) sg.set_active(l, false);
+        }
+        std::vector<LinkId> footprint;
+        GreedyRoutingOptions opt;
+        opt.footprint = &footprint;
+        const auto routing = greedy_path_routing(sg, tm, opt);
+        std::sort(footprint.begin(), footprint.end());
+        footprint.erase(std::unique(footprint.begin(), footprint.end()), footprint.end());
+
+        Subgraph smaller = sg;
+        for (const LinkId l : sg.active_links()) {
+            if (!std::binary_search(footprint.begin(), footprint.end(), l) && rng.bernoulli(0.5)) {
+                smaller.set_active(l, false);
+            }
+        }
+        std::vector<LinkId> again;
+        opt.footprint = &again;
+        const auto rerun = greedy_path_routing(smaller, tm, opt);
+        std::sort(again.begin(), again.end());
+        again.erase(std::unique(again.begin(), again.end()), again.end());
+        ASSERT_EQ(rerun.has_value(), routing.has_value()) << "round " << round;
+        if (routing) {
+            EXPECT_EQ(rerun->routes, routing->routes) << "round " << round;
+        }
+        EXPECT_EQ(again, footprint) << "round " << round;
+        ++(routing ? pinned_accepts : pinned_rejects);
+    }
+    EXPECT_GT(pinned_accepts, 20);
+    EXPECT_GT(pinned_rejects, 20);
 }
 
 }  // namespace
