@@ -145,7 +145,6 @@ Row run_config(const market::OfferPool& pool, const net::TrafficMatrix& tm,
     row.duration_ms = duration_ms;
 
     serve::ServeOptions sopt;
-    sopt.workers = 1;  // queries run on the bench's reader threads
     sopt.meter = meter_for(admission);
     serve::ServeEngine engine(pool, tm, ropt, sopt);
 

@@ -6,8 +6,10 @@
 // example queries the daemon from inside the rollover hook (any thread
 // would do — queries are wait-free with respect to commits), trips
 // admission control on an over-quota account, reconciles the service-
-// fee ledger, and asks a point-in-time question about epoch 2. Build &
-// run:
+// fee ledger, and asks a point-in-time question about epoch 2; it exits
+// nonzero when the ledger does not balance or that question is
+// refused. CI diffs its output against bench/golden/market_daemon_demo.txt.
+// Build & run:
 //
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/market_daemon
@@ -190,9 +192,9 @@ int run_demo() {
     // --- 4. Rollover billing: flush usage into the service-fee ledger.
     const auto rec = daemon.meter().reconcile(/*epoch=*/4);
     const auto ledger = daemon.meter().billing_ledger();
+    const bool balanced = rec.balanced && ledger.conserves();
     std::cout << "reconciled " << rec.accounts_flushed << " accounts, " << rec.flushed
-              << " in service fees, ledger "
-              << (rec.balanced && ledger.conserves() ? "balanced" : "MISMATCH") << "\n";
+              << " in service fees, ledger " << (balanced ? "balanced" : "MISMATCH") << "\n";
 
     // --- 5. Point-in-time: the market as of 2 completed epochs. ------
     const auto hist = daemon.at_epoch("analyst", 2);
@@ -201,10 +203,13 @@ int run_demo() {
                   << hist.view->poc_net << ", delivered "
                   << hist.view->record.delivered_fraction << " (rebuilt from snapshot + "
                   << "read-only journal replay, bit-identical to a from-scratch run)\n";
+    } else {
+        std::cerr << "point-in-time query refused: " << serve::serve_error_name(hist.code)
+                  << "\n";
     }
 
     std::filesystem::remove_all(dir);
-    return 0;
+    return balanced && hist.code == serve::ServeError::kOk ? 0 : 1;
 }
 
 }  // namespace

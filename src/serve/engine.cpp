@@ -10,12 +10,7 @@ namespace poc::serve {
 
 ServeEngine::ServeEngine(const market::OfferPool& pool, const net::TrafficMatrix& tm,
                          sim::RuntimeOptions runtime_opt, ServeOptions opt)
-    : pool_(pool),
-      tm_(tm),
-      runtime_opt_(std::move(runtime_opt)),
-      opt_(opt),
-      meter_(opt.meter),
-      workers_(opt.workers == 0 ? 1 : opt.workers) {}
+    : pool_(pool), tm_(tm), runtime_opt_(std::move(runtime_opt)), meter_(opt.meter) {}
 
 ServeEngine::~ServeEngine() = default;
 
@@ -46,124 +41,47 @@ Admission ServeEngine::admit(const std::string& account, double units) {
     return meter_.admit(account, now, units);
 }
 
-ServeEngine::QuoteReply ServeEngine::quote(const std::string& account,
-                                           std::string_view bp_name) {
+QuoteReply ServeEngine::quote(const std::string& account, std::string_view bp_name) {
     POC_OBS_TIMER_MS("serve.quote_ms", 0.0, 50.0, 50);
     POC_OBS_INC("serve.queries");
-    QuoteReply reply;
     const auto view = hub_.current();
-    if (!view) return reply;
-    const Admission adm = admit(account, opt_.quote_units);
-    if (!adm.ok()) {
-        reply.code = adm.code;
-        return reply;
-    }
-    reply.epoch = view->epoch;
-    reply.total_outlay = view->total_outlay;
-    const BpQuote* q = view->quote_for(bp_name);
-    if (q == nullptr) {
-        reply.code = ServeError::kUnknownBp;
-        return reply;
-    }
-    reply.code = ServeError::kOk;
-    reply.quote = *q;
-    return reply;
+    if (!view) return {};
+    const Admission adm = admit(account, kQuoteUnits);
+    if (!adm.ok()) return refusal<QuoteReply>(adm.code);
+    return quote_reply(*view, bp_name);
 }
 
-ServeEngine::PathReply ServeEngine::path(const std::string& account, net::NodeId src,
-                                         net::NodeId dst) {
+PathReply ServeEngine::path(const std::string& account, net::NodeId src, net::NodeId dst) {
     POC_OBS_TIMER_MS("serve.path_ms", 0.0, 50.0, 50);
     POC_OBS_INC("serve.queries");
-    PathReply reply;
     const auto view = hub_.current();
-    if (!view) return reply;
-    const Admission adm = admit(account, opt_.path_units);
-    if (!adm.ok()) {
-        reply.code = adm.code;
-        return reply;
-    }
-    reply.epoch = view->epoch;
-    if (!src.valid() || !dst.valid() || src.index() >= view->trees.size() ||
-        dst.index() >= view->trees.size()) {
-        reply.code = ServeError::kUnknownNode;
-        return reply;
-    }
-    const net::ShortestPathTree& tree = view->trees[src.index()];
-    if (!tree.reachable(dst)) {
-        reply.code = ServeError::kUnreachable;
-        return reply;
-    }
-    reply.code = ServeError::kOk;
-    reply.links = tree.path_to(dst);
-    reply.length_km = tree.dist[dst.index()];
-    return reply;
+    if (!view) return {};
+    const Admission adm = admit(account, kPathUnits);
+    if (!adm.ok()) return refusal<PathReply>(adm.code);
+    return path_reply(*view, src, dst);
 }
 
-ServeEngine::SlaReply ServeEngine::sla(const std::string& account) {
+SlaReply ServeEngine::sla(const std::string& account) {
     POC_OBS_TIMER_MS("serve.sla_ms", 0.0, 50.0, 50);
     POC_OBS_INC("serve.queries");
-    SlaReply reply;
     const auto view = hub_.current();
-    if (!view) return reply;
-    const Admission adm = admit(account, opt_.sla_units);
-    if (!adm.ok()) {
-        reply.code = adm.code;
-        return reply;
-    }
-    reply.code = ServeError::kOk;
-    reply.epoch = view->epoch;
-    reply.status = view->sla(opt_.sla_delivered_target);
-    reply.delivered_fraction = view->record.delivered_fraction;
-    reply.degraded = view->record.degraded_mode;
-    reply.breaker_open = view->record.breaker_open;
-    return reply;
+    if (!view) return {};
+    const Admission adm = admit(account, kSlaUnits);
+    if (!adm.ok()) return refusal<SlaReply>(adm.code);
+    return sla_reply(*view);
 }
 
-ServeEngine::HistoryReply ServeEngine::at_epoch(const std::string& account,
-                                                std::uint64_t completed_epochs) {
+HistoryReply ServeEngine::at_epoch(const std::string& account,
+                                   std::uint64_t completed_epochs) {
     POC_OBS_TIMER_MS("serve.history_ms", 0.0, 500.0, 50);
     POC_OBS_INC("serve.queries");
-    HistoryReply reply;
-    const Admission adm = admit(account, opt_.history_units);
-    if (!adm.ok()) {
-        reply.code = adm.code;
-        return reply;
-    }
-    if (completed_epochs == 0) {
-        reply.code = ServeError::kHistoryUnavailable;
-        return reply;
-    }
-    {
-        std::lock_guard<std::mutex> lock(history_mutex_);
-        const auto hit = history_cache_.find(completed_epochs);
-        if (hit != history_cache_.end()) {
-            POC_OBS_INC("serve.history_cache_hits");
-            reply.code = ServeError::kOk;
-            reply.view = hit->second;
-            return reply;
-        }
-    }
-    // Strictly read-only against the live journal (Journal::scan_file):
-    // materialization can run while the runtime is mid-epoch.
-    const auto state = sim::materialize_state_at(pool_, tm_, runtime_opt_, completed_epochs);
-    if (!state) {
-        POC_OBS_INC("serve.history_misses");
-        reply.code = ServeError::kHistoryUnavailable;
-        return reply;
-    }
-    auto view = build_epoch_view(pool_.graph(), *state);
-    {
-        std::lock_guard<std::mutex> lock(history_mutex_);
-        if (history_cache_.size() >= opt_.history_cache_cap) history_cache_.clear();
-        history_cache_.emplace(completed_epochs, view);
-    }
-    reply.code = ServeError::kOk;
-    reply.view = std::move(view);
+    const Admission adm = admit(account, kHistoryUnits);
+    if (!adm.ok()) return refusal<HistoryReply>(adm.code);
+    HistoryReply reply = history_reply(pool_, tm_, runtime_opt_, completed_epochs);
+    // Epoch 0 is refused outright; only a failed materialization is a
+    // miss.
+    if (!reply.view && completed_epochs != 0) POC_OBS_INC("serve.history_misses");
     return reply;
 }
-
-void ServeEngine::async(std::function<void()> fn) { workers_.submit(std::move(fn)); }
-
-void ServeEngine::wait_idle() { workers_.wait_idle(); }
 
 }  // namespace poc::serve

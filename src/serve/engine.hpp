@@ -1,24 +1,22 @@
 // The always-on market daemon's query front-end (DESIGN.md §8). One
 // ServeEngine sits beside a running sim::EpochRuntime: the runtime's
 // on_epoch_commit hook freezes each committed epoch into an immutable
-// EpochView and publishes it through the RCU hub; query threads (the
-// engine's util::ThreadPool, or any caller thread — every query
-// method is thread-safe) answer price quotes, path lookups, and SLA
+// EpochView and publishes it through the RCU hub; query threads (any
+// caller thread: every query method is thread-safe, and the engine
+// starts none of its own) answer price quotes, path lookups, and SLA
 // status from the published view, never waiting on rollover work.
-// Point-in-time queries materialize historical epochs from
-// the state-history store (newest snapshot <= N plus a read-only
-// journal-suffix replay) without disturbing the live runtime's
-// journal. Every query passes admission control first (usage_meter);
-// all of it is strictly read-only with respect to the market: a
-// journaled run with a query storm replays bit-identical to one
-// without.
+// The answers themselves are the read path shared with the replica
+// tier (serve/epoch_view.hpp); the engine adds admission control
+// (usage_meter) in front of every query. Point-in-time queries
+// materialize historical epochs from the state-history store (newest
+// snapshot <= N plus a read-only journal-suffix replay) without
+// disturbing the live runtime's journal. All of it is strictly
+// read-only with respect to the market: a journaled run with a query
+// storm replays bit-identical to one without.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -26,60 +24,18 @@
 #include "serve/usage_meter.hpp"
 #include "serve/view_hub.hpp"
 #include "sim/runtime.hpp"
-#include "util/thread_pool.hpp"
 
 namespace poc::serve {
 
-// Reply types shared by every serving front-end (the leader-side
-// ServeEngine and the replica-side Follower answer with the same
-// shapes, so a client cannot tell which tier served it — only
-// ServeError::kStaleView betrays a lagging replica).
-
-struct QuoteReply {
-    ServeError code = ServeError::kNotServing;
-    std::size_t epoch = 0;
-    BpQuote quote;
-    util::Money total_outlay;
-};
-
-struct PathReply {
-    ServeError code = ServeError::kNotServing;
-    std::size_t epoch = 0;
-    std::vector<net::LinkId> links;
-    double length_km = 0.0;
-};
-
-struct SlaReply {
-    ServeError code = ServeError::kNotServing;
-    std::size_t epoch = 0;
-    SlaStatus status = SlaStatus::kUnprovisioned;
-    double delivered_fraction = 0.0;
-    bool degraded = false;
-    bool breaker_open = false;
-};
-
-struct HistoryReply {
-    ServeError code = ServeError::kNotServing;
-    /// The view as of `completed_epochs` target (null on error).
-    std::shared_ptr<const EpochView> view;
-};
+/// Admission cost per query class, in meter units. Historical
+/// queries replay journal suffixes and are priced accordingly.
+inline constexpr double kQuoteUnits = 1.0;
+inline constexpr double kPathUnits = 2.0;
+inline constexpr double kSlaUnits = 1.0;
+inline constexpr double kHistoryUnits = 8.0;
 
 struct ServeOptions {
-    /// Query worker threads.
-    std::size_t workers = 2;
     MeterOptions meter;
-    /// SLA delivered-fraction contract target.
-    double sla_delivered_target = 0.999;
-    /// Admission cost per query class, in meter units.
-    double quote_units = 1.0;
-    double path_units = 2.0;
-    double sla_units = 1.0;
-    /// Historical queries replay journal suffixes: priced accordingly.
-    double history_units = 8.0;
-    /// Materialized historical views kept for reuse (history is
-    /// immutable, so entries never go stale; the cap only bounds
-    /// memory).
-    std::size_t history_cache_cap = 16;
 };
 
 class ServeEngine {
@@ -103,13 +59,6 @@ public:
     std::shared_ptr<const EpochView> current() const { return hub_.current(); }
     std::uint64_t rollovers() const { return hub_.published_count(); }
 
-    // Source-compat aliases: the reply structs predate the follower
-    // tier and used to be nested here.
-    using QuoteReply = serve::QuoteReply;
-    using PathReply = serve::PathReply;
-    using SlaReply = serve::SlaReply;
-    using HistoryReply = serve::HistoryReply;
-
     QuoteReply quote(const std::string& account, std::string_view bp_name);
 
     PathReply path(const std::string& account, net::NodeId src, net::NodeId dst);
@@ -121,13 +70,7 @@ public:
     /// that length would publish.
     HistoryReply at_epoch(const std::string& account, std::uint64_t completed_epochs);
 
-    /// Run `fn` on the engine's pool (queries are thread-safe, so the
-    /// task may call any query method). wait_idle() drains.
-    void async(std::function<void()> fn);
-    void wait_idle();
-
     UsageMeter& meter() noexcept { return meter_; }
-    const ServeOptions& options() const noexcept { return opt_; }
 
 private:
     /// Admission at the current serving time (completed_epochs).
@@ -136,14 +79,9 @@ private:
     const market::OfferPool& pool_;
     const net::TrafficMatrix& tm_;
     sim::RuntimeOptions runtime_opt_;
-    ServeOptions opt_;
 
     ViewHub hub_;
     UsageMeter meter_;
-    util::ThreadPool workers_;
-
-    std::mutex history_mutex_;
-    std::map<std::uint64_t, std::shared_ptr<const EpochView>> history_cache_;
 };
 
 }  // namespace poc::serve

@@ -142,4 +142,59 @@ std::string encode_epoch_view(const EpochView& view) {
     return w.bytes();
 }
 
+QuoteReply quote_reply(const EpochView& view, std::string_view bp_name) {
+    QuoteReply reply;
+    reply.epoch = view.epoch;
+    reply.total_outlay = view.total_outlay;
+    const BpQuote* q = view.quote_for(bp_name);
+    if (q == nullptr) {
+        reply.code = ServeError::kUnknownBp;
+        return reply;
+    }
+    reply.code = ServeError::kOk;
+    reply.quote = *q;
+    return reply;
+}
+
+PathReply path_reply(const EpochView& view, net::NodeId src, net::NodeId dst) {
+    PathReply reply;
+    reply.epoch = view.epoch;
+    if (!src.valid() || !dst.valid() || src.index() >= view.trees.size() ||
+        dst.index() >= view.trees.size()) {
+        reply.code = ServeError::kUnknownNode;
+        return reply;
+    }
+    const net::ShortestPathTree& tree = view.trees[src.index()];
+    if (!tree.reachable(dst)) {
+        reply.code = ServeError::kUnreachable;
+        return reply;
+    }
+    reply.code = ServeError::kOk;
+    reply.links = tree.path_to(dst);
+    reply.length_km = tree.dist[dst.index()];
+    return reply;
+}
+
+SlaReply sla_reply(const EpochView& view) {
+    SlaReply reply;
+    reply.code = ServeError::kOk;
+    reply.epoch = view.epoch;
+    reply.status = view.sla(kSlaDeliveredTarget);
+    reply.delivered_fraction = view.record.delivered_fraction;
+    reply.degraded = view.record.degraded_mode;
+    reply.breaker_open = view.record.breaker_open;
+    return reply;
+}
+
+HistoryReply history_reply(const market::OfferPool& pool, const net::TrafficMatrix& tm,
+                           const sim::RuntimeOptions& runtime_opt,
+                           std::uint64_t completed_epochs) {
+    if (completed_epochs == 0) return refusal<HistoryReply>(ServeError::kHistoryUnavailable);
+    // Strictly read-only against the live journal (Journal::scan_file):
+    // materialization can run while the runtime is mid-epoch.
+    const auto state = sim::materialize_state_at(pool, tm, runtime_opt, completed_epochs);
+    if (!state) return refusal<HistoryReply>(ServeError::kHistoryUnavailable);
+    return {ServeError::kOk, build_epoch_view(pool.graph(), *state)};
+}
+
 }  // namespace poc::serve

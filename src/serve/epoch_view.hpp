@@ -6,7 +6,8 @@
 // SLA verdict — into a heap object that is never mutated again. The
 // hub (view_hub.hpp) then swaps a shared_ptr to it atomically, so
 // readers hold a consistent epoch for as long as they keep the
-// pointer, across any number of later rollovers.
+// pointer, across any number of later rollovers. Turning a view into a
+// reply lives here too, once, for both serving tiers.
 #pragma once
 
 #include <memory>
@@ -19,6 +20,7 @@
 #include "core/ledger.hpp"
 #include "market/vcg.hpp"
 #include "net/shortest_path.hpp"
+#include "serve/usage_meter.hpp"
 #include "sim/runtime.hpp"
 
 namespace poc::serve {
@@ -34,6 +36,9 @@ struct BpQuote {
     double pob = 0.0;
     std::size_t links_won = 0;
 };
+
+/// The delivered-fraction contract target SLA queries are graded at.
+inline constexpr double kSlaDeliveredTarget = 0.999;
 
 /// The paper's availability SLA, graded from the epoch's flow results.
 enum class SlaStatus : std::uint8_t {
@@ -78,7 +83,8 @@ struct EpochView {
     std::vector<std::pair<core::Party, util::Money>> balances;
     util::Money poc_net;
 
-    /// SLA verdict at `delivered_target` (engine default 0.999).
+    /// SLA verdict at `delivered_target` (served at
+    /// kSlaDeliveredTarget).
     SlaStatus sla(double delivered_target) const;
 
     const BpQuote* quote_for(std::string_view bp_name) const;
@@ -111,5 +117,70 @@ std::shared_ptr<const EpochView> build_epoch_view(const net::Graph& graph,
 /// answers encode identically, so the replication property tests can
 /// assert leader/follower bit-identity per epoch with one comparison.
 std::string encode_epoch_view(const EpochView& view);
+
+// The one read path. The leader (ServeEngine) and a replica (Follower)
+// answer every query with the bodies below, so a client cannot tell
+// which tier served it: only ServeError::kStaleView betrays a lagging
+// replica. Each tier adds just its gate in front (admission on the
+// leader, the staleness bound on a replica) and answers kNotServing
+// (a default reply) until its first view is published.
+
+struct QuoteReply {
+    ServeError code = ServeError::kNotServing;
+    std::size_t epoch = 0;
+    BpQuote quote;
+    util::Money total_outlay;
+};
+
+struct PathReply {
+    ServeError code = ServeError::kNotServing;
+    std::size_t epoch = 0;
+    std::vector<net::LinkId> links;
+    double length_km = 0.0;
+};
+
+struct SlaReply {
+    ServeError code = ServeError::kNotServing;
+    std::size_t epoch = 0;
+    SlaStatus status = SlaStatus::kUnprovisioned;
+    double delivered_fraction = 0.0;
+    bool degraded = false;
+    bool breaker_open = false;
+};
+
+struct HistoryReply {
+    ServeError code = ServeError::kNotServing;
+    /// The view as of `completed_epochs` target (null on error).
+    std::shared_ptr<const EpochView> view;
+};
+
+/// A gate's refusal: a reply carrying only `code`.
+template <typename Reply>
+Reply refusal(ServeError code) {
+    Reply reply;
+    reply.code = code;
+    return reply;
+}
+
+/// `bp_name`'s standing in the view's auction (kUnknownBp when it did
+/// not bid).
+QuoteReply quote_reply(const EpochView& view, std::string_view bp_name);
+
+/// Shortest path over the view's backbone (kUnknownNode for an invalid
+/// or out-of-range node, kUnreachable when `dst` is cut off).
+PathReply path_reply(const EpochView& view, net::NodeId src, net::NodeId dst);
+
+/// The view's SLA standing, graded at kSlaDeliveredTarget.
+SlaReply sla_reply(const EpochView& view);
+
+/// Point-in-time: the market as of exactly `completed_epochs` committed
+/// epochs, materialized from the state history (newest snapshot <= N
+/// plus a read-only journal-suffix replay), bit-identical to what a
+/// from-scratch run of that length would publish. Never disturbs a
+/// live runtime's journal. kHistoryUnavailable for 0 or for an epoch
+/// the history cannot prove.
+HistoryReply history_reply(const market::OfferPool& pool, const net::TrafficMatrix& tm,
+                           const sim::RuntimeOptions& runtime_opt,
+                           std::uint64_t completed_epochs);
 
 }  // namespace poc::serve

@@ -13,18 +13,12 @@
 #include "sim/replay.hpp"
 #include "util/contracts.hpp"
 #include "util/fault_injection.hpp"
+#include "util/journal.hpp"
 #include "util/state_history.hpp"
 
 namespace poc::serve {
 
 namespace {
-
-/// Per-record frame overhead: u16 type | u32 payload_len | u32 crc.
-/// Kept in sync with the journal's framing (journal.cpp); the cursor
-/// advances by this plus the *raw* (possibly delta-encoded) payload
-/// size per consumed record.
-constexpr std::uint64_t kFrameOverhead =
-    sizeof(std::uint16_t) + 2 * sizeof(std::uint32_t);
 
 double steady_ms() {
     return std::chrono::duration<double, std::milli>(
@@ -168,7 +162,9 @@ struct Follower::Impl {
                 // base its successors resolve against.
                 delta_bases[d.type] = d.payload;
                 ++consumed_records;
-                consumed_bytes += kFrameOverhead + pending[i].payload.size();
+                // The raw (possibly delta-encoded) payload is what the
+                // frame holds.
+                consumed_bytes += util::kJournalFrameBytes + pending[i].payload.size();
                 if (step == sim::ReplayCursor::Step::kCovered) continue;
                 ++out.records_applied;
                 ++stats.records_applied;
@@ -176,14 +172,13 @@ struct Follower::Impl {
                     ++out.epochs_applied;
                     ++stats.epochs_applied;
                     applied.store(cursor.state.epochs.size(), std::memory_order_relaxed);
-                    if (opt.publish_every_epoch) publish_current();
+                    publish_current();
                 }
             }
             for (std::size_t j = i; j < decoded.size(); ++j) {
                 if (decoded[j].type == sim::kRecEpochEnd) ++unapplied_epoch_ends;
             }
         }
-        if (!opt.publish_every_epoch && out.epochs_applied > 0) publish_current();
         known.store(cursor.state.epochs.size() + unapplied_epoch_ends,
                     std::memory_order_relaxed);
         return res;
@@ -412,89 +407,31 @@ std::uint64_t Follower::cursor_records() const noexcept {
 QuoteReply Follower::quote(std::string_view bp_name,
                            std::uint64_t max_lag_epochs) const {
     POC_OBS_INC("serve.follower.queries");
-    QuoteReply reply;
-    if (impl_->reject_stale(max_lag_epochs)) {
-        reply.code = ServeError::kStaleView;
-        return reply;
-    }
+    if (impl_->reject_stale(max_lag_epochs)) return refusal<QuoteReply>(ServeError::kStaleView);
     const auto view = impl_->hub->current();
-    if (!view) return reply;
-    reply.epoch = view->epoch;
-    reply.total_outlay = view->total_outlay;
-    const BpQuote* q = view->quote_for(bp_name);
-    if (q == nullptr) {
-        reply.code = ServeError::kUnknownBp;
-        return reply;
-    }
-    reply.code = ServeError::kOk;
-    reply.quote = *q;
-    return reply;
+    return view ? quote_reply(*view, bp_name) : QuoteReply{};
 }
 
 PathReply Follower::path(net::NodeId src, net::NodeId dst,
                          std::uint64_t max_lag_epochs) const {
     POC_OBS_INC("serve.follower.queries");
-    PathReply reply;
-    if (impl_->reject_stale(max_lag_epochs)) {
-        reply.code = ServeError::kStaleView;
-        return reply;
-    }
+    if (impl_->reject_stale(max_lag_epochs)) return refusal<PathReply>(ServeError::kStaleView);
     const auto view = impl_->hub->current();
-    if (!view) return reply;
-    reply.epoch = view->epoch;
-    if (!src.valid() || !dst.valid() || src.index() >= view->trees.size() ||
-        dst.index() >= view->trees.size()) {
-        reply.code = ServeError::kUnknownNode;
-        return reply;
-    }
-    const net::ShortestPathTree& tree = view->trees[src.index()];
-    if (!tree.reachable(dst)) {
-        reply.code = ServeError::kUnreachable;
-        return reply;
-    }
-    reply.code = ServeError::kOk;
-    reply.links = tree.path_to(dst);
-    reply.length_km = tree.dist[dst.index()];
-    return reply;
+    return view ? path_reply(*view, src, dst) : PathReply{};
 }
 
-SlaReply Follower::sla(std::uint64_t max_lag_epochs, double delivered_target) const {
+SlaReply Follower::sla(std::uint64_t max_lag_epochs) const {
     POC_OBS_INC("serve.follower.queries");
-    SlaReply reply;
-    if (impl_->reject_stale(max_lag_epochs)) {
-        reply.code = ServeError::kStaleView;
-        return reply;
-    }
+    if (impl_->reject_stale(max_lag_epochs)) return refusal<SlaReply>(ServeError::kStaleView);
     const auto view = impl_->hub->current();
-    if (!view) return reply;
-    reply.code = ServeError::kOk;
-    reply.epoch = view->epoch;
-    reply.status = view->sla(delivered_target);
-    reply.delivered_fraction = view->record.delivered_fraction;
-    reply.degraded = view->record.degraded_mode;
-    reply.breaker_open = view->record.breaker_open;
-    return reply;
+    return view ? sla_reply(*view) : SlaReply{};
 }
 
 HistoryReply Follower::at_epoch(std::uint64_t completed_epochs) const {
     POC_OBS_INC("serve.follower.queries");
-    HistoryReply reply;
-    if (completed_epochs == 0) {
-        reply.code = ServeError::kHistoryUnavailable;
-        return reply;
-    }
     // The degradation path for a stale replica: no staleness check —
     // the reply is proven point-in-time state, not the live view.
-    const auto state =
-        sim::materialize_state_at(impl_->pool, impl_->tm, impl_->opt.runtime,
-                                  completed_epochs);
-    if (!state) {
-        reply.code = ServeError::kHistoryUnavailable;
-        return reply;
-    }
-    reply.view = build_epoch_view(impl_->pool.graph(), *state);
-    reply.code = ServeError::kOk;
-    return reply;
+    return history_reply(impl_->pool, impl_->tm, impl_->opt.runtime, completed_epochs);
 }
 
 FollowerRunResult run_follower_with_recovery(const market::OfferPool& pool,

@@ -56,7 +56,6 @@
 #include <string>
 #include <string_view>
 
-#include "serve/engine.hpp"
 #include "serve/epoch_view.hpp"
 #include "serve/view_hub.hpp"
 #include "sim/chaos.hpp"
@@ -114,10 +113,6 @@ struct FollowerOptions {
     /// epochs, …) — the same configuration-fingerprint rule as
     /// recovery. Engine knobs (threads, caches) are free to differ.
     sim::RuntimeOptions runtime;
-    /// Publish a view for *every* epoch applied during a poll (the
-    /// property tests compare per-epoch); false publishes only the
-    /// newest epoch per poll (a production replica catching up).
-    bool publish_every_epoch = true;
     /// Cap on records applied per poll(); 0 = no cap. The fault-matrix
     /// tests set 1 to drive every record boundary.
     std::size_t max_records_per_poll = 0;
@@ -231,7 +226,8 @@ public:
     std::uint64_t cursor_bytes() const noexcept;
     std::uint64_t cursor_records() const noexcept;
 
-    // --- Bounded-staleness queries (unmetered replica reads). Each
+    // --- Bounded-staleness queries (unmetered replica reads), answered
+    // by the read path the leader uses (serve/epoch_view.hpp). Each
     // carries the caller's staleness contract: if lag_epochs() >
     // max_lag_epochs the reply is kStaleView and the published view is
     // not consulted. ---
@@ -240,8 +236,7 @@ public:
                      std::uint64_t max_lag_epochs = kNoLagBound) const;
     PathReply path(net::NodeId src, net::NodeId dst,
                    std::uint64_t max_lag_epochs = kNoLagBound) const;
-    SlaReply sla(std::uint64_t max_lag_epochs = kNoLagBound,
-                 double delivered_target = 0.999) const;
+    SlaReply sla(std::uint64_t max_lag_epochs = kNoLagBound) const;
 
     /// Point-in-time query the replica can prove regardless of lag
     /// (the graceful degradation path for stale replicas): the market

@@ -45,8 +45,6 @@ namespace {
 
 constexpr char kMagic[8] = {'P', 'O', 'C', 'W', 'A', 'L', '0', '1'};
 constexpr std::size_t kHeaderFixed = sizeof(kMagic) + sizeof(std::uint32_t);
-constexpr std::size_t kFrameFixed =
-    sizeof(std::uint16_t) + sizeof(std::uint32_t) + sizeof(std::uint32_t);
 /// Upper bound on one record's payload; a length field beyond this is
 /// treated as tail corruption rather than attempted as an allocation.
 constexpr std::uint32_t kMaxPayload = 1u << 30;
@@ -145,16 +143,16 @@ std::size_t scan_bytes(const std::string& path, const std::string& bytes,
     // Record scan: stop at the first torn or checksum-failing frame.
     std::size_t pos = meta_end;
     std::size_t valid_end = meta_end;
-    while (pos + kFrameFixed <= bytes.size()) {
+    while (pos + kJournalFrameBytes <= bytes.size()) {
         const auto type = load<std::uint16_t>(bytes, pos);
         const auto len = load<std::uint32_t>(bytes, pos + sizeof(std::uint16_t));
         const auto crc =
             load<std::uint32_t>(bytes, pos + sizeof(std::uint16_t) + sizeof(std::uint32_t));
-        if (len > kMaxPayload || pos + kFrameFixed + len > bytes.size()) break;  // torn
-        const std::string_view payload(bytes.data() + pos + kFrameFixed, len);
+        if (len > kMaxPayload || pos + kJournalFrameBytes + len > bytes.size()) break;  // torn
+        const std::string_view payload(bytes.data() + pos + kJournalFrameBytes, len);
         if (frame_crc(type, payload) != crc) break;  // corrupt
         scan.records.push_back(JournalRecord{type, std::string(payload)});
-        pos += kFrameFixed + len;
+        pos += kJournalFrameBytes + len;
         valid_end = pos;
     }
     if (valid_end < bytes.size()) {
@@ -265,9 +263,9 @@ void Journal::append(std::uint16_t type, std::string_view payload) {
     out_.flush();
     if (!out_) throw JournalError("journal append failed at " + path_);
     if (fsync_) fsync_->sync();
-    size_bytes_ += kFrameFixed + payload.size();
+    size_bytes_ += kJournalFrameBytes + payload.size();
     POC_OBS_INC("util.journal.appends");
-    POC_OBS_COUNT("util.journal.bytes", kFrameFixed + payload.size());
+    POC_OBS_COUNT("util.journal.bytes", kJournalFrameBytes + payload.size());
 }
 
 void Journal::set_fsync_on_append(bool enabled) {

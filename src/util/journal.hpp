@@ -130,6 +130,11 @@ private:
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte string.
 std::uint32_t crc32(std::string_view bytes);
 
+/// Bytes framing each record ahead of its payload (u16 type | u32
+/// payload_len | u32 crc): a record occupies this plus its payload.
+inline constexpr std::size_t kJournalFrameBytes =
+    sizeof(std::uint16_t) + sizeof(std::uint32_t) + sizeof(std::uint32_t);
+
 struct JournalRecord {
     std::uint16_t type = 0;
     std::string payload;

@@ -13,6 +13,7 @@
 
 #include "helpers/market.hpp"
 #include "util/journal.hpp"
+#include "util/thread_pool.hpp"
 
 namespace poc::serve {
 namespace {
@@ -123,7 +124,6 @@ TEST_F(ServeEngineTest, ConcurrentReadersNeverSeeATornRollover) {
     opt.journal_path = journal("concurrent.wal");
 
     ServeOptions sopt;
-    sopt.workers = 3;
     sopt.meter.quota_units = 1e9;  // admission off the critical path
     ServeEngine engine(pool, tm, opt, sopt);
     engine.attach(opt);
@@ -187,15 +187,16 @@ TEST_F(ServeEngineTest, QueryStormIsBitNonPerturbing) {
     const sim::RuntimeOutcome baseline = sim::EpochRuntime(pool, tm, quiet).run();
 
     // Stormed: same run with the daemon attached and a query storm --
-    // synchronous queries from the commit hook plus async ones on the
-    // engine pool, including historical materializations that scan the
-    // live journal mid-run.
+    // synchronous queries from the commit hook plus concurrent ones on
+    // a query pool, including historical materializations that scan
+    // the live journal mid-run.
     sim::RuntimeOptions stormed = base_options(5);
     stormed.journal_path = journal("stormed.wal");
     ServeOptions sopt;
     sopt.meter.quota_units = 1e9;
     ServeEngine engine(pool, tm, stormed, sopt);
     engine.attach(stormed);
+    util::ThreadPool queries(2);
     const auto user_hook = stormed.on_epoch_commit;
     stormed.on_epoch_commit = [&](const sim::EpochCommit& commit) {
         user_hook(commit);
@@ -203,12 +204,12 @@ TEST_F(ServeEngineTest, QueryStormIsBitNonPerturbing) {
             engine.quote("storm", "B");
             engine.sla("storm");
             engine.path("storm", net::NodeId{0u}, net::NodeId{1u});
-            engine.async([&engine] { engine.sla("storm-async"); });
+            queries.submit([&engine] { engine.sla("storm-async"); });
         }
         engine.at_epoch("storm", commit.completed_epochs);
     };
     const sim::RuntimeOutcome under_storm = sim::EpochRuntime(pool, tm, stormed).run();
-    engine.wait_idle();
+    queries.wait_idle();
 
     expect_identical(under_storm, baseline, "query storm must not perturb the run");
 
@@ -254,7 +255,7 @@ TEST_F(ServeEngineTest, PointInTimeMatchesFromScratchAtEveryEpoch) {
         EXPECT_EQ(want.auctions.back().has_value(), got.view->provisioned);
     }
 
-    // Cached reuse answers without re-materializing.
+    // A repeated query answers the same epoch again.
     const auto again = engine.at_epoch("auditor", 3);
     ASSERT_EQ(again.code, ServeError::kOk);
     EXPECT_EQ(again.view->completed_epochs, 3u);
@@ -305,14 +306,13 @@ TEST_F(ServeEngineTest, AdmissionControlRejectsOverQuotaAccounts) {
     opt.journal_path = journal("admission.wal");
 
     ServeOptions sopt;
-    sopt.meter.quota_units = 5.0;
+    sopt.meter.quota_units = 2.5 * kQuoteUnits;
     sopt.meter.half_life_epochs = 4.0;
-    sopt.quote_units = 2.0;
     ServeEngine engine(pool, tm, opt, sopt);
     engine.attach(opt);
     sim::EpochRuntime(pool, tm, opt).run();
 
-    // 2 units per quote, quota 5: the third quote tips over.
+    // Quota of two and a half quotes: the third quote tips over.
     EXPECT_EQ(engine.quote("greedy", "A").code, ServeError::kOk);
     EXPECT_EQ(engine.quote("greedy", "A").code, ServeError::kOk);
     EXPECT_EQ(engine.quote("greedy", "A").code, ServeError::kOverQuota);
@@ -321,7 +321,7 @@ TEST_F(ServeEngineTest, AdmissionControlRejectsOverQuotaAccounts) {
     EXPECT_EQ(engine.quote("patient", "A").code, ServeError::kOk);
     // The rejected account was billed only for admitted queries.
     EXPECT_EQ(engine.meter().billed("greedy"),
-              sopt.meter.price_per_unit.scaled(4.0));
+              sopt.meter.price_per_unit.scaled(2.0 * kQuoteUnits));
 
     // Rollover reconciliation balances the serve-side ledger.
     const auto rec = engine.meter().reconcile(3);
