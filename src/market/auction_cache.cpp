@@ -5,8 +5,6 @@
 #include <cstring>
 #include <span>
 
-#include "util/hash.hpp"
-
 namespace poc::market {
 
 LinkSetKey::LinkSetKey(const std::vector<net::LinkId>& links) {
@@ -55,9 +53,18 @@ LinkSetKey::LinkSetKey(const net::Subgraph& sg) {
 
 void LinkSetKey::canonicalize() {
     while (!words_.empty() && words_.back() == 0) words_.pop_back();
-    util::Fnv64 h;
-    for (const std::uint64_t w : words_) h.add(w);
-    hash_ = static_cast<std::size_t>(h.value());
+    // One multiply and one xorshift per word, then a full avalanche
+    // (splitmix64's finalizer) so the low bits that pick the shard and
+    // the bucket depend on every word. Only lookups read the hash:
+    // nothing persists it or iterates the tables in its order.
+    std::uint64_t h = words_.size();
+    for (const std::uint64_t w : words_) {
+        h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+        h ^= h >> 32;
+    }
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    hash_ = static_cast<std::size_t>(h ^ (h >> 31));
 }
 
 std::optional<bool> AuctionCache::find_verdict(const LinkSetKey& key) const {

@@ -148,62 +148,81 @@ util::Money OfferPool::price(net::LinkId link) const {
     return price_by_link_[link.index()];
 }
 
-template <class ForEachLink>
-std::optional<util::Money> OfferPool::grouped_cost(ForEachLink&& for_each_link) const {
-    // One pass sums each pricing party's link count and base prices
-    // (exact integer micros, so order does not matter); the virtual
-    // links are party bids_.size(). Only a bid with bundle overrides
-    // needs its share as a list, kept in input order, since an override
-    // matches an exact bundle.
-    const std::size_t parties = bids_.size() + 1;
-    std::vector<std::size_t> count(parties, 0);
-    std::vector<util::Money> additive(parties);
-    for_each_link([&](net::LinkId l) {
-        const std::size_t p = party(l);
-        ++count[p];
-        additive[p] += price_by_link_[l.index()];
-    });
+OfferPool::Tally::Tally(const OfferPool& pool)
+    : pool_(&pool), count_(pool.bids_.size() + 1, 0), additive_(pool.bids_.size() + 1) {}
+
+void OfferPool::Tally::add(net::LinkId link) {
+    const std::size_t p = pool_->party(link);
+    ++count_[p];
+    additive_[p] += pool_->price_by_link_[link.index()];
+}
+
+void OfferPool::Tally::remove(net::LinkId link) {
+    const std::size_t p = pool_->party(link);
+    POC_EXPECTS(count_[p] > 0);
+    --count_[p];
+    additive_[p] -= pool_->price_by_link_[link.index()];
+}
+
+OfferPool::Tally OfferPool::tally(const net::Subgraph& sg) const {
+    Tally t(*this);
+    const std::span<const char> mask = sg.mask();
+    // Late in a deletion pass few links are active: skip all-zero runs
+    // of eight mask bytes with one load.
+    std::size_t i = 0;
+    for (; i + 8 <= mask.size(); i += 8) {
+        std::uint64_t bytes;
+        std::memcpy(&bytes, mask.data() + i, sizeof bytes);
+        if (bytes == 0) continue;
+        for (std::size_t j = i; j < i + 8; ++j) {
+            if (mask[j] != 0) t.add(net::LinkId{j});
+        }
+    }
+    for (; i < mask.size(); ++i) {
+        if (mask[i] != 0) t.add(net::LinkId{i});
+    }
+    return t;
+}
+
+template <class ShareOf>
+std::optional<util::Money> OfferPool::priced(const Tally& tally, ShareOf&& share_of) const {
+    POC_EXPECTS(tally.pool_ == this);
     util::Money total{};
     std::vector<net::LinkId> share;
     for (std::size_t p = 0; p < bids_.size(); ++p) {
         const BpBid& bid = bids_[p];
         if (!bid.has_bundle_overrides()) {
-            total += bid.tiered(additive[p], count[p]);
+            total += bid.tiered(tally.additive_[p], tally.count_[p]);
             continue;
         }
         share.clear();
-        for_each_link([&](net::LinkId l) {
-            if (party_by_link_[l.index()] == p) share.push_back(l);
-        });
+        share_of(p, share);
         const auto c = bid.cost(share);
         if (!c) return std::nullopt;
         total += *c;
     }
-    return total + additive[bids_.size()];
+    return total + tally.additive_[bids_.size()];
 }
 
 std::optional<util::Money> OfferPool::total_cost(const std::vector<net::LinkId>& links) const {
-    return grouped_cost([&](auto&& f) {
-        for (const net::LinkId l : links) f(l);
+    Tally t(*this);
+    for (const net::LinkId l : links) t.add(l);
+    return priced(t, [&](std::size_t p, std::vector<net::LinkId>& share) {
+        for (const net::LinkId l : links) {
+            if (party_by_link_[l.index()] == p) share.push_back(l);
+        }
     });
 }
 
 std::optional<util::Money> OfferPool::total_cost(const net::Subgraph& sg) const {
-    const std::span<const char> mask = sg.mask();
-    return grouped_cost([&](auto&& f) {
-        // Late in a deletion pass few links are active: skip all-zero
-        // runs of eight mask bytes with one load.
-        std::size_t i = 0;
-        for (; i + 8 <= mask.size(); i += 8) {
-            std::uint64_t bytes;
-            std::memcpy(&bytes, mask.data() + i, sizeof bytes);
-            if (bytes == 0) continue;
-            for (std::size_t j = i; j < i + 8; ++j) {
-                if (mask[j] != 0) f(net::LinkId{j});
-            }
-        }
-        for (; i < mask.size(); ++i) {
-            if (mask[i] != 0) f(net::LinkId{i});
+    return total_cost(tally(sg), sg);
+}
+
+std::optional<util::Money> OfferPool::total_cost(const Tally& tally,
+                                                 const net::Subgraph& sg) const {
+    return priced(tally, [&](std::size_t p, std::vector<net::LinkId>& share) {
+        for (const net::LinkId l : bids_[p].offered_links()) {
+            if (sg.is_active(l)) share.push_back(l);
         }
     });
 }

@@ -133,6 +133,30 @@ public:
     /// offered.
     util::Money price(net::LinkId link) const;
 
+    /// Running per-party totals of a link set: each bid's link count and
+    /// base-price sum, and the virtual links' contract-price sum, in
+    /// exact integer micros, so any order of adds and removes gives the
+    /// same totals. Every total_cost prices a set from its tally; a
+    /// deletion pass keeps one and updates it per link it removes.
+    class Tally {
+    public:
+        /// Add or remove one offered link (checked) to or from the set.
+        void add(net::LinkId link);
+        void remove(net::LinkId link);
+
+    private:
+        friend class OfferPool;
+        explicit Tally(const OfferPool& pool);
+
+        const OfferPool* pool_;
+        /// Indexed by party: bids in order, then the virtual links.
+        std::vector<std::size_t> count_;
+        std::vector<util::Money> additive_;
+    };
+
+    /// The tally of the Subgraph's active links.
+    Tally tally(const net::Subgraph& sg) const;
+
     /// Total cost C(L) of an arbitrary link set: sum over BPs of
     /// C_alpha(L intersect L_alpha) plus C_v(L intersect VL). Returns
     /// nullopt if any BP prices its share to infinity. Every link must
@@ -140,8 +164,12 @@ public:
     /// plus one per bid with bundle overrides.
     std::optional<util::Money> total_cost(const std::vector<net::LinkId>& links) const;
     /// total_cost of the Subgraph's active links, read straight from its
-    /// mask in id order: the same value as total_cost(sg.active_links()).
+    /// mask: the same value as total_cost(sg.active_links()).
     std::optional<util::Money> total_cost(const net::Subgraph& sg) const;
+    /// total_cost of the Subgraph's active links given their tally
+    /// (`tally` must equal tally(sg)): O(parties), plus one pass over the
+    /// offered links of each bid with bundle overrides.
+    std::optional<util::Money> total_cost(const Tally& tally, const net::Subgraph& sg) const;
 
     /// The subset of `links` owned by `bp`.
     std::vector<net::LinkId> owned_subset(const std::vector<net::LinkId>& links, BpId bp) const;
@@ -153,10 +181,11 @@ private:
     /// or bids_.size() for a virtual link.
     std::size_t party(net::LinkId link) const;
 
-    /// total_cost over the links `for_each_link(f)` passes to `f`, in the
-    /// same order on every call.
-    template <class ForEachLink>
-    std::optional<util::Money> grouped_cost(ForEachLink&& for_each_link) const;
+    /// The cost of the set `tally` sums. A bid with bundle overrides
+    /// prices its share as a list, which `share_of(p, share)` appends
+    /// for party p, since an override matches an exact bundle.
+    template <class ShareOf>
+    std::optional<util::Money> priced(const Tally& tally, ShareOf&& share_of) const;
 
     std::vector<BpBid> bids_;
     VirtualLinkContract virtual_links_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <mutex>
 #include <utility>
 
 #include "market/auction_cache.hpp"
@@ -19,18 +20,38 @@ const BpOutcome& AuctionResult::outcome(BpId bp) const {
 
 namespace {
 
+/// The removal order of every offered link, shared by all the heuristic
+/// solves of one auction: each filters it to its available set instead
+/// of sorting (windet.hpp). Sorted on first use, so an auction whose
+/// every solve the memo answers never sorts; safe across pivot threads.
+class AuctionRemovalOrder {
+public:
+    explicit AuctionRemovalOrder(const OfferPool& pool) : pool_(pool) {}
+
+    const std::vector<net::LinkId>& get() const {
+        std::call_once(once_, [this] { order_ = removal_order(pool_, pool_.offered_links()); });
+        return order_;
+    }
+
+private:
+    const OfferPool& pool_;
+    mutable std::once_flag once_;
+    mutable std::vector<net::LinkId> order_;
+};
+
 /// One winner-determination solve, optionally memoized under the
 /// available set.
 std::optional<Selection> solve(const OfferPool& pool, const Oracle& oracle,
                                const std::vector<net::LinkId>& available,
-                               const AuctionOptions& opt, AuctionCache* cache) {
+                               const AuctionOptions& opt, const AuctionRemovalOrder& order,
+                               AuctionCache* cache) {
     std::optional<LinkSetKey> key;
     if (cache) {
         key.emplace(available);
         if (const auto hit = cache->find_solve(*key)) return *hit;
     }
     auto result = opt.exact ? select_links_exact(pool, oracle, available)
-                            : select_links(pool, oracle, available, opt.windet);
+                            : select_links(pool, oracle, available, order.get(), opt.windet);
     if (cache) cache->store_solve(*key, result);
     return result;
 }
@@ -40,7 +61,8 @@ std::optional<Selection> solve(const OfferPool& pool, const Oracle& oracle,
 /// pivots are independent by construction, so the engine may run them
 /// concurrently and the results cannot depend on scheduling.
 BpOutcome clarke_pivot(const OfferPool& pool, const Oracle& oracle, const Selection& sl,
-                       const BpBid& bid, const AuctionOptions& opt, AuctionCache* cache) {
+                       const BpBid& bid, const AuctionOptions& opt,
+                       const AuctionRemovalOrder& order, AuctionCache* cache) {
     // Telemetry only (obs is a pure side channel): per-pivot latency
     // histogram plus a span in the epoch timeline.
     POC_OBS_SPAN("market.auction.pivot");
@@ -55,7 +77,8 @@ BpOutcome clarke_pivot(const OfferPool& pool, const Oracle& oracle, const Select
     out.bid_cost = *own_cost;
 
     // Clarke pivot: re-solve with this BP's offers withdrawn.
-    const auto sl_without = solve(pool, oracle, pool.offered_links_without(bid.bp()), opt, cache);
+    const auto sl_without =
+        solve(pool, oracle, pool.offered_links_without(bid.bp()), opt, order, cache);
     if (!sl_without) {
         // A(OL - L_alpha) empty: the paper's assumption is violated;
         // the pivot term is undefined. Pay the declared cost and
@@ -112,7 +135,8 @@ std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& or
     const AuctionCache::Stats cache_before =
         cache_ptr != nullptr ? cache_ptr->stats() : AuctionCache::Stats{};
 
-    const auto sl = solve(pool, *engine_oracle, pool.offered_links(), opt, cache_ptr);
+    const AuctionRemovalOrder order(pool);
+    const auto sl = solve(pool, *engine_oracle, pool.offered_links(), opt, order, cache_ptr);
     if (!sl) {
         POC_OBS_INC("market.auction.infeasible");
         POC_OBS_COUNT("market.auction.oracle_queries", oracle.query_count() - queries_before);
@@ -140,7 +164,7 @@ std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& or
         threads.parallel_for(bids.size(), [&](std::size_t i) {
             try {
                 result.outcomes[i] =
-                    clarke_pivot(pool, *engine_oracle, *sl, bids[i], opt, cache_ptr);
+                    clarke_pivot(pool, *engine_oracle, *sl, bids[i], opt, order, cache_ptr);
             } catch (...) {
                 errors[i] = std::current_exception();
             }
@@ -152,7 +176,8 @@ std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& or
         }
     } else {
         for (std::size_t i = 0; i < bids.size(); ++i) {
-            result.outcomes[i] = clarke_pivot(pool, *engine_oracle, *sl, bids[i], opt, cache_ptr);
+            result.outcomes[i] =
+                clarke_pivot(pool, *engine_oracle, *sl, bids[i], opt, order, cache_ptr);
         }
     }
 

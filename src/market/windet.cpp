@@ -6,12 +6,9 @@
 
 namespace poc::market {
 
-namespace {
-
-/// Expensive-per-gbps links are removal candidates first. The key is
-/// computed once per link, not per comparison.
 std::vector<net::LinkId> removal_order(const OfferPool& pool,
                                        const std::vector<net::LinkId>& links) {
+    // The key is computed once per link, not per comparison.
     std::vector<std::pair<double, net::LinkId>> keyed;
     keyed.reserve(links.size());
     for (const net::LinkId l : links) {
@@ -27,14 +24,22 @@ std::vector<net::LinkId> removal_order(const OfferPool& pool,
     return order;
 }
 
-/// State for the batched reverse deletion: active set + its cost, and
-/// the oracle witness its queries share. Every query is on a subset of
-/// the last committed set, the precondition the witness needs.
+namespace {
+
+/// State for the batched reverse deletion: active set, its party tally
+/// and cost, and the oracle witness its queries share. Every query is
+/// on a subset of the last committed set, the precondition the witness
+/// needs. A step costs O(batch + parties), not O(offered links): it
+/// moves the batch out of the tally and prices the tally.
 class DeletionPass {
 public:
     DeletionPass(const OfferPool& pool, const Oracle& oracle, net::Subgraph& sg,
-                 util::Money current_cost, OracleWitness& witness)
-        : pool_(pool), oracle_(oracle), sg_(sg), cost_(current_cost), witness_(witness) {}
+                 OracleWitness& witness)
+        : pool_(pool), oracle_(oracle), sg_(sg), tally_(pool.tally(sg)), witness_(witness) {
+        const auto full_cost = pool_.total_cost(tally_, sg_);
+        POC_EXPECTS(full_cost.has_value());  // offered sets are always priced
+        cost_ = *full_cost;
+    }
 
     util::Money cost() const noexcept { return cost_; }
 
@@ -44,13 +49,20 @@ public:
     /// priced before the oracle is asked, so every accept commits.
     void try_remove(const std::vector<net::LinkId>& batch) {
         if (batch.empty()) return;
-        for (const net::LinkId l : batch) sg_.set_active(l, false);
-        const auto new_cost = pool_.total_cost(sg_);
+        for (const net::LinkId l : batch) {
+            POC_EXPECTS(sg_.is_active(l));
+            sg_.set_active(l, false);
+            tally_.remove(l);
+        }
+        const auto new_cost = pool_.total_cost(tally_, sg_);
         if (new_cost && *new_cost <= cost_ && oracle_.accepts(sg_, &witness_)) {
             cost_ = *new_cost;
             return;  // committed
         }
-        for (const net::LinkId l : batch) sg_.set_active(l, true);
+        for (const net::LinkId l : batch) {
+            sg_.set_active(l, true);
+            tally_.add(l);
+        }
         if (batch.size() == 1) return;  // this link stays
         const auto mid = batch.begin() + static_cast<std::ptrdiff_t>(batch.size() / 2);
         try_remove({batch.begin(), mid});
@@ -61,6 +73,7 @@ private:
     const OfferPool& pool_;
     const Oracle& oracle_;
     net::Subgraph& sg_;
+    OfferPool::Tally tally_;
     util::Money cost_;
     OracleWitness& witness_;
 };
@@ -70,17 +83,25 @@ private:
 std::optional<Selection> select_links(const OfferPool& pool, const Oracle& oracle,
                                       const std::vector<net::LinkId>& available,
                                       const WinnerDeterminationOptions& opt) {
+    return select_links(pool, oracle, available, removal_order(pool, available), opt);
+}
+
+std::optional<Selection> select_links(const OfferPool& pool, const Oracle& oracle,
+                                      const std::vector<net::LinkId>& available,
+                                      const std::vector<net::LinkId>& order,
+                                      const WinnerDeterminationOptions& opt) {
     POC_EXPECTS(opt.batch_size >= 1);
     net::Subgraph sg(pool.graph(), available);
     OracleWitness witness;
     if (!oracle.accepts(sg, &witness)) return std::nullopt;
 
-    const auto full_cost = pool.total_cost(sg);
-    POC_EXPECTS(full_cost.has_value());  // offered sets are always priced
+    DeletionPass pass(pool, oracle, sg, witness);
 
-    DeletionPass pass(pool, oracle, sg, *full_cost, witness);
-    const std::vector<net::LinkId> order = removal_order(pool, available);
-
+    // Both sweeps walk `order` and skip inactive links, which are the
+    // links outside `available` plus those already removed: the order
+    // of a subset is the order of the whole set filtered to it.
+    const std::size_t available_count = sg.active_count();
+    std::size_t visited = 0;
     std::size_t i = 0;
     while (i < order.size()) {
         std::vector<net::LinkId> batch;
@@ -88,12 +109,15 @@ std::optional<Selection> select_links(const OfferPool& pool, const Oracle& oracl
             if (sg.is_active(order[i])) batch.push_back(order[i]);
             ++i;
         }
+        visited += batch.size();
         pass.try_remove(batch);
     }
+    // Every available link was met once, while still active.
+    POC_EXPECTS(visited == available_count);
 
     // Marginal costs shifted as the set shrank; one more single-link
-    // sweep in refreshed order catches stragglers.
-    for (const net::LinkId l : removal_order(pool, sg.active_links())) {
+    // sweep in the same order catches stragglers.
+    for (const net::LinkId l : order) {
         if (sg.is_active(l)) pass.try_remove({l});
     }
 

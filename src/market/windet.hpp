@@ -34,10 +34,26 @@ struct WinnerDeterminationOptions {
     std::size_t batch_size = 64;
 };
 
+/// The reverse-deletion candidate order of `links`: highest price per
+/// gbps first, ties by link id. The key is fixed per pool and the tie
+/// break is total, so the order of a subset is the order of any
+/// superset filtered to that subset.
+std::vector<net::LinkId> removal_order(const OfferPool& pool,
+                                       const std::vector<net::LinkId>& links);
+
 /// Heuristic minimum-cost acceptable subset of `available`. Returns
 /// nullopt when even the full available set is unacceptable.
 std::optional<Selection> select_links(const OfferPool& pool, const Oracle& oracle,
                                       const std::vector<net::LinkId>& available,
+                                      const WinnerDeterminationOptions& opt = {});
+
+/// select_links with the removal order given: `order` is the
+/// removal_order of a superset of `available` (e.g. of every offered
+/// link, sorted once for all the solves of an auction); links outside
+/// `available` are skipped. The result equals the overload above.
+std::optional<Selection> select_links(const OfferPool& pool, const Oracle& oracle,
+                                      const std::vector<net::LinkId>& available,
+                                      const std::vector<net::LinkId>& order,
                                       const WinnerDeterminationOptions& opt = {});
 
 /// Exact minimum-cost acceptable subset (branch and bound). Requires no

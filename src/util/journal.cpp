@@ -1,6 +1,8 @@
 #include "util/journal.hpp"
 
 #include <array>
+#include <bit>
+#include <cstring>
 #include <filesystem>
 
 #include "obs/metrics.hpp"
@@ -49,28 +51,60 @@ constexpr std::size_t kHeaderFixed = sizeof(kMagic) + sizeof(std::uint32_t);
 /// treated as tail corruption rather than attempted as an allocation.
 constexpr std::uint32_t kMaxPayload = 1u << 30;
 
-const std::array<std::uint32_t, 256>& crc_table() {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+static_assert(std::endian::native == std::endian::little,
+              "crc32_update folds eight bytes with one little-endian load");
+
+/// Slicing-by-8 tables: row 0 is the bytewise table of the reflected
+/// IEEE polynomial, and row k is row 0 advanced over k more zero bytes,
+/// the contribution of a byte that k further bytes follow in its step.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables& crc_tables() {
+    static const CrcTables tables = [] {
+        CrcTables t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k) {
                 c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
             }
-            t[i] = c;
+            t[0][i] = c;
+        }
+        for (std::size_t k = 1; k < t.size(); ++k) {
+            for (std::uint32_t i = 0; i < 256; ++i) {
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+            }
         }
         return t;
     }();
-    return table;
+    return tables;
 }
 
-std::uint32_t crc32_update(std::uint32_t crc, const char* data, std::size_t n) {
-    const auto& table = crc_table();
-    for (std::size_t i = 0; i < n; ++i) {
-        crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^ (crc >> 8);
+}  // namespace
+
+std::uint32_t crc32_update(std::uint32_t crc, std::string_view bytes) {
+    const CrcTables& t = crc_tables();
+    const char* data = bytes.data();
+    std::size_t n = bytes.size();
+    // Eight bytes per step: the register folds into the first four, and
+    // each byte is looked up in the row for the number of bytes after
+    // it in the step. The values equal the bytewise loop's below.
+    for (; n >= 8; data += 8, n -= 8) {
+        std::uint32_t lo;
+        std::uint32_t hi;
+        std::memcpy(&lo, data, sizeof lo);
+        std::memcpy(&hi, data + 4, sizeof hi);
+        lo ^= crc;
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+              t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+              t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++data, --n) {
+        crc = t[0][(crc ^ static_cast<unsigned char>(*data)) & 0xFFu] ^ (crc >> 8);
     }
     return crc;
 }
+
+namespace {
 
 /// CRC over the record frame contents: the 2-byte type followed by the
 /// payload, so a flipped type byte fails verification too.
@@ -78,8 +112,8 @@ std::uint32_t frame_crc(std::uint16_t type, std::string_view payload) {
     std::uint32_t crc = 0xFFFFFFFFu;
     const char type_bytes[2] = {static_cast<char>(type & 0xFF),
                                 static_cast<char>((type >> 8) & 0xFF)};
-    crc = crc32_update(crc, type_bytes, 2);
-    crc = crc32_update(crc, payload.data(), payload.size());
+    crc = crc32_update(crc, std::string_view(type_bytes, 2));
+    crc = crc32_update(crc, payload);
     return crc ^ 0xFFFFFFFFu;
 }
 
@@ -93,7 +127,7 @@ T load(const std::string& bytes, std::size_t at) {
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes) {
-    return crc32_update(0xFFFFFFFFu, bytes.data(), bytes.size()) ^ 0xFFFFFFFFu;
+    return crc32_update(0xFFFFFFFFu, bytes) ^ 0xFFFFFFFFu;
 }
 
 Journal Journal::create(const std::string& path, std::string_view meta,

@@ -130,6 +130,11 @@ private:
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte string.
 std::uint32_t crc32(std::string_view bytes);
 
+/// Advance a CRC-32 register over more bytes, with no pre- or post-
+/// inversion: crc32(s) is crc32_update(0xFFFFFFFF, s) ^ 0xFFFFFFFF, and
+/// updating over a then b equals one update over a + b.
+std::uint32_t crc32_update(std::uint32_t crc, std::string_view bytes);
+
 /// Bytes framing each record ahead of its payload (u16 type | u32
 /// payload_len | u32 crc): a record occupies this plus its payload.
 inline constexpr std::size_t kJournalFrameBytes =

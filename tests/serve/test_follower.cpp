@@ -24,10 +24,6 @@ namespace {
 
 using test::ParallelLinksFixture;
 
-/// Frame overhead of one journal record (type + length + CRC), for
-/// computing record-boundary byte offsets from a scan.
-constexpr std::uint64_t kFrame = sizeof(std::uint16_t) + 2 * sizeof(std::uint32_t);
-
 class FollowerTest : public ::testing::Test {
 protected:
     void SetUp() override {
@@ -197,7 +193,7 @@ TEST_F(FollowerTest, TornTailAtEveryRecordBoundaryIsRetriedNotTruncated) {
     util::Journal::scan_file(opt.journal_path, scan);
     std::vector<std::uint64_t> boundaries{scan.header_end};
     for (const util::JournalRecord& r : scan.records) {
-        boundaries.push_back(boundaries.back() + kFrame + r.payload.size());
+        boundaries.push_back(boundaries.back() + util::kJournalFrameBytes + r.payload.size());
     }
     ASSERT_EQ(boundaries.back(), scan.valid_end);
 
@@ -247,14 +243,15 @@ TEST_F(FollowerTest, BitFlipInEveryRecordStallsStructurallyThenRecovers) {
     util::Journal::scan_file(opt.journal_path, scan);
     std::vector<std::uint64_t> boundaries{scan.header_end};
     for (const util::JournalRecord& r : scan.records) {
-        boundaries.push_back(boundaries.back() + kFrame + r.payload.size());
+        boundaries.push_back(boundaries.back() + util::kJournalFrameBytes + r.payload.size());
     }
 
     for (std::size_t i = 0; i < scan.records.size(); ++i) {
         const std::string path = journal("flip-" + std::to_string(i) + ".wal");
         util::FaultyFile::spit(path, full);
         // Flip a payload bit of record i.
-        const std::uint64_t victim = boundaries[i] + kFrame + scan.records[i].payload.size() / 2;
+        const std::uint64_t victim =
+            boundaries[i] + util::kJournalFrameBytes + scan.records[i].payload.size() / 2;
         util::FaultyFile::flip_bit(path, victim, 5);
 
         sim::RuntimeOptions ropt = opt;
@@ -567,7 +564,7 @@ TEST_F(FollowerTest, TailUntilPacesRetriesAndFailsStructurallyOnCorruption) {
     util::FaultyFile::spit(damaged, util::FaultyFile::slurp(opt.journal_path));
     util::Journal::ScanResult scan;
     util::Journal::scan_file(damaged, scan);
-    util::FaultyFile::flip_bit(damaged, scan.header_end + kFrame + 1, 2);
+    util::FaultyFile::flip_bit(damaged, scan.header_end + util::kJournalFrameBytes + 1, 2);
 
     sim::RuntimeOptions dopt = opt;
     dopt.journal_path = damaged;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 namespace poc::util {
 namespace {
@@ -102,6 +103,53 @@ TEST(Crc32, KnownVectors) {
     EXPECT_EQ(crc32(""), 0x00000000u);
     EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
     EXPECT_EQ(crc32("The quick brown fox jumps over the lazy dog"), 0x414FA339u);
+}
+
+/// The bytewise CRC-32 register update, frozen: one table lookup per
+/// byte, the definition the word-at-a-time update must reproduce.
+std::uint32_t bytewise_crc_update(std::uint32_t crc, std::string_view bytes) {
+    for (const char byte : bytes) {
+        crc ^= static_cast<unsigned char>(byte);
+        for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc;
+}
+
+/// Deterministic pseudo-random bytes (xorshift), so every byte value
+/// and alignment shows up.
+std::string noise_bytes(std::size_t n) {
+    std::string bytes(n, '\0');
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (char& b : bytes) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<char>(x >> 56);
+    }
+    return bytes;
+}
+
+TEST(Crc32, MatchesBytewiseAtEveryLengthAndOffset) {
+    const std::string noise = noise_bytes(1024 + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            const std::string_view bytes(noise.data() + offset, len);
+            ASSERT_EQ(crc32(bytes), bytewise_crc_update(0xFFFFFFFFu, bytes) ^ 0xFFFFFFFFu)
+                << "offset " << offset << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32, ChainedUpdatesEqualOneUpdateOverTheConcatenation) {
+    // frame_crc's shape: a 2-byte type, then the payload.
+    const std::string noise = noise_bytes(300);
+    const std::string_view all(noise);
+    for (const std::size_t split : {0u, 1u, 2u, 7u, 8u, 9u, 64u, 299u, 300u}) {
+        const std::uint32_t chained =
+            crc32_update(crc32_update(0xFFFFFFFFu, all.substr(0, split)), all.substr(split));
+        EXPECT_EQ(chained, crc32_update(0xFFFFFFFFu, all)) << "split " << split;
+        EXPECT_EQ(chained ^ 0xFFFFFFFFu, crc32(all)) << "split " << split;
+    }
 }
 
 TEST_F(JournalTest, CreateAppendOpenRoundTrip) {
