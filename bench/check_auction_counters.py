@@ -5,9 +5,12 @@
     python3 bench/check_auction_counters.py BENCH_auction.json /tmp/BENCH_auction.json
 
 Every single-threaded row (threads == 1: the serial and cached modes) of
-the fresh run must report the same oracle_queries, oracle_cache_hits and
-solve_cache_hits as the committed row with the same instance and mode.
-The counters are exact, so any difference is a change in what the
+the fresh run must report the same oracle_queries, oracle_cache_hits,
+solve_cache_hits and sssp_scanned (net.sssp.scanned: the incident-list
+entries the run's shortest-path searches examined) as the committed row
+with the same instance and mode.
+Run it on a build with observability compiled in (sssp_scanned reads 0
+without). The counters are exact, so any difference is a change in what the
 engine computes, not timing noise. Rows with threads > 1 are skipped:
 concurrent pivots may race to fill the memo, which moves their counters
 by a query or two without changing any result. Exits 1 on a difference,
@@ -17,7 +20,7 @@ on a missing row, or when the baseline has no single-threaded rows.
 import json
 import sys
 
-COUNTERS = ("oracle_queries", "oracle_cache_hits", "solve_cache_hits")
+COUNTERS = ("oracle_queries", "oracle_cache_hits", "solve_cache_hits", "sssp_scanned")
 
 
 def serial_rows(path):

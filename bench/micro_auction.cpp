@@ -21,6 +21,7 @@
 #include "market/delta_reclear.hpp"
 #include "market/pricing.hpp"
 #include "market/vcg.hpp"
+#include "obs/metrics.hpp"
 #include "topo/traffic.hpp"
 #include "util/rng.hpp"
 
@@ -134,6 +135,9 @@ struct Row {
     std::size_t oracle_queries = 0;
     std::size_t oracle_cache_hits = 0;
     std::size_t solve_cache_hits = 0;
+    /// net.sssp.scanned over one run: the incident entries its searches
+    /// examined (0 in a build with observability compiled out).
+    std::uint64_t sssp_scanned = 0;
 };
 
 }  // namespace
@@ -158,6 +162,7 @@ int main(int argc, char** argv) {
 
     std::vector<Row> rows;
     bool all_identical = true;
+    const obs::Counter& scanned_counter = obs::registry().counter("net.sssp.scanned");
     constexpr int kReps = 3;
 
     for (const Instance& inst : instances) {
@@ -169,6 +174,7 @@ int main(int argc, char** argv) {
             opt.threads = mode.threads;
 
             double best_ms = 0.0;
+            std::uint64_t scanned = 0;
             std::optional<market::AuctionResult> result;
             for (int rep = 0; rep < kReps; ++rep) {
                 // Fresh oracle per run: lifetime query counts comparable.
@@ -178,9 +184,11 @@ int main(int argc, char** argv) {
                 // delta state's first run is cold.
                 market::DeltaReclearState memo;
                 opt.delta = mode.cache ? &memo : nullptr;
+                const std::uint64_t scanned_before = scanned_counter.value();
                 const auto t0 = std::chrono::steady_clock::now();
                 result = market::run_auction(inst.pool, oracle, opt);
                 const auto t1 = std::chrono::steady_clock::now();
+                scanned = scanned_counter.value() - scanned_before;
                 const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
                 if (rep == 0 || ms < best_ms) best_ms = ms;
             }
@@ -208,13 +216,15 @@ int main(int argc, char** argv) {
             row.oracle_queries = result->oracle_queries;
             row.oracle_cache_hits = result->oracle_cache_hits;
             row.solve_cache_hits = result->solve_cache_hits;
+            row.sssp_scanned = scanned;
             rows.push_back(row);
 
             std::cout << inst.label << "  links=" << row.offered_links << "  " << mode.name
                       << "  " << best_ms << " ms  x" << row.speedup_vs_serial
                       << "  queries=" << row.oracle_queries
                       << "  verdict_hits=" << row.oracle_cache_hits
-                      << "  solve_hits=" << row.solve_cache_hits << "\n";
+                      << "  solve_hits=" << row.solve_cache_hits
+                      << "  sssp_scanned=" << row.sssp_scanned << "\n";
         }
     }
     if (!all_identical) return 1;
@@ -236,7 +246,8 @@ int main(int argc, char** argv) {
             << ", \"ms\": " << r.ms << ", \"speedup_vs_serial\": " << r.speedup_vs_serial
             << ", \"oracle_queries\": " << r.oracle_queries
             << ", \"oracle_cache_hits\": " << r.oracle_cache_hits
-            << ", \"solve_cache_hits\": " << r.solve_cache_hits << "}"
+            << ", \"solve_cache_hits\": " << r.solve_cache_hits
+            << ", \"sssp_scanned\": " << r.sssp_scanned << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

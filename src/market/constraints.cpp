@@ -130,31 +130,48 @@ bool AcceptabilityOracle::footprint_kept(const net::Subgraph& sg,
                        [&](net::LinkId l) { return sg.is_active(l); });
 }
 
-bool AcceptabilityOracle::node_cut(const net::Subgraph& sg, double utilization_cap) const {
+bool AcceptabilityOracle::node_cut(const net::ActiveAdjacency& incidence,
+                                   double utilization_cap) const {
     // Greedy places flow on simple paths, so each unit of a demand
     // crosses one link at each endpoint, and a link carries at most its
     // capacity times the cap. Ties, and anything within the margin, go
-    // to greedy.
-    const net::Graph& g = *graph_;
-    const std::span<const double> capacity = g.link_soa().capacity_gbps;
+    // to greedy. The lists keep Graph::incident order, so each sum adds
+    // the same capacities in the same order as a filtered scan would.
+    const std::span<const double> capacity = graph_->link_soa().capacity_gbps;
     for (const NodeDemand& nd : node_demands_) {
         double cap = 0.0;
-        for (const net::LinkId l : g.incident(nd.node)) {
-            if (sg.is_active(l)) cap += capacity[l.index()];
-        }
+        for (const net::LinkId l : incidence.incident(nd.node)) cap += capacity[l.index()];
         const double avail = utilization_cap * cap;
         if (nd.need - avail > kNodeCutMargin * (nd.gbps + avail)) return true;
     }
     return false;
 }
 
+bool AcceptabilityOracle::screen_and_route(const net::Subgraph& sg,
+                                           const net::GreedyRoutingOptions& gopt) const {
+    net::ActiveAdjacency& incidence = gopt.workspace->incidence;
+    incidence.assign(sg);
+    if (node_cut(incidence, gopt.utilization_cap)) {
+        POC_OBS_INC("market.oracle.nodecut_rejects");
+        return false;
+    }
+    if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
+        POC_OBS_INC("market.oracle.greedy_rejects");
+        return false;
+    }
+    return true;
+}
+
 bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg, OracleWitness* witness) const {
     // Each evaluation bumps exactly one verdict counter: the screen that
     // rejected it, certified_accepts, or greedy_accepts. A certified
     // accept replaces only the greedy runs; every other screen still
-    // runs on `sg`.
+    // runs on `sg`. A query that routes builds `sg`'s incidence once,
+    // and the node-cut screen and every greedy run scan it.
     bool certified = footprint_kept(sg, witness);
+    net::GreedyWorkspace local;
     net::GreedyRoutingOptions gopt;
+    gopt.workspace = witness != nullptr ? &witness->greedy_ : &local;
     if (witness != nullptr) {
         witness->scratch_.clear();
         gopt.footprint = &witness->scratch_;
@@ -166,16 +183,7 @@ bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg, OracleWitness* w
             // successful greedy routing already proves it for all
             // demands it had to place, so only the rest are screened,
             // and only after greedy succeeds.
-            if (!certified) {
-                if (node_cut(sg, gopt.utilization_cap)) {
-                    POC_OBS_INC("market.oracle.nodecut_rejects");
-                    return false;
-                }
-                if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
-                    POC_OBS_INC("market.oracle.greedy_rejects");
-                    return false;
-                }
-            }
+            if (!certified && !screen_and_route(sg, gopt)) return false;
             if (!unproven_by_greedy_.empty() &&
                 !net::all_pairs_connected(sg, unproven_by_greedy_)) {
                 POC_OBS_INC("market.oracle.connectivity_rejects");
@@ -196,16 +204,7 @@ bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg, OracleWitness* w
             // (b) The matrix must fit with protection headroom: every
             //     link derated to `fast_failure_derate` of capacity.
             gopt.utilization_cap = opt_.fast_failure_derate;
-            if (!certified) {
-                if (node_cut(sg, gopt.utilization_cap)) {
-                    POC_OBS_INC("market.oracle.nodecut_rejects");
-                    return false;
-                }
-                if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
-                    POC_OBS_INC("market.oracle.greedy_rejects");
-                    return false;
-                }
-            }
+            if (!certified && !screen_and_route(sg, gopt)) return false;
             break;
         }
         case ConstraintKind::kPerPairFailure: {
@@ -220,14 +219,8 @@ bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg, OracleWitness* w
             // footprint speaks for it only while they are unchanged.
             certified = certified && primaries == witness->primaries_;
             if (!certified) {
-                if (node_cut(sg, gopt.utilization_cap)) {
-                    POC_OBS_INC("market.oracle.nodecut_rejects");
-                    return false;
-                }
-                if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
-                    POC_OBS_INC("market.oracle.greedy_rejects");
-                    return false;
-                }
+                if (!screen_and_route(sg, gopt)) return false;
+                // The second run reuses the incidence the first built.
                 gopt.exclusions = &primaries;
                 if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
                     POC_OBS_INC("market.oracle.greedy_rejects");

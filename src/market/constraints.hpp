@@ -71,7 +71,8 @@ class Oracle;
 /// caller promises it: a pass only deletes links, and restores exactly
 /// the batches that were rejected. A witness belongs to one pass on one
 /// thread. A reject leaves it as it is; an accept the oracle did not
-/// evaluate (a memo hit) disarms it.
+/// evaluate (a memo hit) disarms it. It also carries the pass's greedy
+/// scratch, so the pass's greedy runs reuse one set of buffers.
 class OracleWitness {
 public:
     bool armed() const noexcept { return armed_by_ != nullptr; }
@@ -88,6 +89,8 @@ private:
     net::CommodityExclusions primaries_;
     /// Where a full evaluation collects its footprint before it arms.
     std::vector<net::LinkId> scratch_;
+    /// The pass's greedy scratch and the queried set's incidence.
+    net::GreedyWorkspace greedy_;
 };
 
 /// The interface the winner-determination search drives: is the active
@@ -179,8 +182,13 @@ private:
     /// link of its footprint.
     bool footprint_kept(const net::Subgraph& sg, const OracleWitness* witness) const;
     /// True when some node's demand exceeds its active capacity at
-    /// `utilization_cap`, so greedy routing must fail.
-    bool node_cut(const net::Subgraph& sg, double utilization_cap) const;
+    /// `utilization_cap`, so greedy routing must fail. `incidence` is
+    /// the queried set's, built from exactly that set.
+    bool node_cut(const net::ActiveAdjacency& incidence, double utilization_cap) const;
+    /// Builds the incidence of `sg` into `gopt.workspace`, then runs the
+    /// node-cut screen and greedy over it. False, with the rejecting
+    /// screen's verdict counter bumped, when either rejects.
+    bool screen_and_route(const net::Subgraph& sg, const net::GreedyRoutingOptions& gopt) const;
 
     const net::Graph* graph_;
     net::TrafficMatrix tm_;

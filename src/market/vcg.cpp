@@ -160,7 +160,7 @@ std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& or
         // it before concurrent readers race to be that first use.
         pool.graph().warm_adjacency();
         std::vector<std::exception_ptr> errors(bids.size());
-        util::ThreadPool threads(opt.threads);
+        util::ThreadPool threads(opt.threads - 1);  // parallel_for joins the calling thread
         threads.parallel_for(bids.size(), [&](std::size_t i) {
             try {
                 result.outcomes[i] =

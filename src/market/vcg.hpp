@@ -75,9 +75,11 @@ struct AuctionOptions {
     /// instances only); the heuristic otherwise.
     bool exact = false;
     WinnerDeterminationOptions windet;
-    /// Worker threads for the per-BP Clarke-pivot re-solves, which are
-    /// independent by construction. 0 or 1 = serial (the reproducible
-    /// default); any value produces bit-identical results.
+    /// Threads for the per-BP Clarke-pivot re-solves, which are
+    /// independent by construction, counting the calling thread: the
+    /// pool gets threads - 1 workers, and the caller works alongside
+    /// them. 0 or 1 = serial (the reproducible default); any value
+    /// produces bit-identical results.
     std::size_t threads = 1;
     /// Minimum number of pivot re-solves (= bids) before the thread
     /// pool is engaged at all. Below it the auction runs serially even

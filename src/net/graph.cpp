@@ -1,6 +1,7 @@
 #include "net/graph.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 namespace poc::net {
@@ -175,6 +176,47 @@ std::vector<LinkId> Subgraph::active_links() const {
         if (mask_[i] != 0) out.emplace_back(i);
     }
     return out;
+}
+
+void ActiveAdjacency::assign(const Subgraph& sg) {
+    graph_ = &sg.graph();
+    const std::size_t n = sg.node_count();
+    const LinkSoa soa = graph_->link_soa();
+    const std::span<const char> mask = sg.mask();
+    // Count each node's active links into offsets_[node], then turn the
+    // counts into bucket ends and fill every bucket back to front from
+    // the links in descending id order: each list comes out in id
+    // order, and offsets_[node] ends at the bucket's start.
+    offsets_.assign(n + 1, 0);
+    active_.clear();
+    active_.reserve(sg.active_count());
+    const auto add = [&](std::size_t i) {
+        active_.emplace_back(i);
+        ++offsets_[soa.a[i]];
+        ++offsets_[soa.b[i]];
+    };
+    // The sets this serves (a routed query's, a backbone) hold a small
+    // share of the links, so the scan skips eight inactive links per
+    // load and looks at single bytes only in words with an active one.
+    std::size_t i = 0;
+    for (; i + 8 <= mask.size(); i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, mask.data() + i, sizeof word);
+        if (word == 0) continue;
+        for (std::size_t j = i; j < i + 8; ++j) {
+            if (mask[j] != 0) add(j);
+        }
+    }
+    for (; i < mask.size(); ++i) {
+        if (mask[i] != 0) add(i);
+    }
+    for (std::size_t v = 1; v < n; ++v) offsets_[v] += offsets_[v - 1];
+    if (n > 0) offsets_[n] = offsets_[n - 1];
+    links_.resize(offsets_[n]);
+    for (auto it = active_.rbegin(); it != active_.rend(); ++it) {
+        links_[--offsets_[soa.a[it->index()]]] = *it;
+        links_[--offsets_[soa.b[it->index()]]] = *it;
+    }
 }
 
 double total_demand(const TrafficMatrix& tm) {

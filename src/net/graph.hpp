@@ -191,6 +191,43 @@ private:
     std::uint64_t fingerprint_ = 0;
 };
 
+/// Compact incidence lists of one Subgraph's active links (DESIGN.md
+/// §6): per-node offsets into one array of link ids, built with one pass
+/// over the mask. A node's list is Graph::incident(node) filtered to the
+/// active links, in the same order (link-id order), so a search that
+/// scans it relaxes the same links in the same order as one that scans
+/// the full list and skips inactive links. A search over a subset of the
+/// set it was built from may scan it too, skipping what the subset
+/// lacks. Rebuilding reuses capacity; the lists are a copy, so later
+/// changes to the Subgraph do not reach them.
+class ActiveAdjacency {
+public:
+    ActiveAdjacency() = default;
+    explicit ActiveAdjacency(const Subgraph& sg) { assign(sg); }
+
+    /// Rebuild for `sg`'s active links.
+    void assign(const Subgraph& sg);
+
+    /// The graph of the last assign(); null before the first.
+    const Graph* graph() const noexcept { return graph_; }
+
+    /// Active links incident to `node`, in Graph::incident order.
+    std::span<const LinkId> incident(NodeId node) const {
+        POC_EXPECTS(node.index() + 1 < offsets_.size());
+        return std::span<const LinkId>(links_).subspan(
+            offsets_[node.index()], offsets_[node.index() + 1] - offsets_[node.index()]);
+    }
+
+    /// The active links, in id order.
+    std::span<const LinkId> active_links() const noexcept { return active_; }
+
+private:
+    const Graph* graph_ = nullptr;
+    std::vector<std::uint32_t> offsets_;
+    std::vector<LinkId> links_;
+    std::vector<LinkId> active_;
+};
+
 /// A directional traffic demand between two routers.
 struct Demand {
     NodeId src;

@@ -7,28 +7,44 @@ namespace poc::net {
 
 namespace {
 
-double link_weight(const LinkWeight& weight, LinkId l) { return weight(l); }
-double link_weight(const LinkWeightArray& weight, LinkId l) { return weight[l.index()]; }
-
 /// Total weight of a link sequence.
-template <class Weight>
-double path_weight(const std::vector<LinkId>& links, const Weight& weight) {
+double path_weight(const std::vector<LinkId>& links, const LinkWeightArray& weight) {
     double w = 0.0;
-    for (const LinkId l : links) w += link_weight(weight, l);
+    for (const LinkId l : links) w += weight[l.index()];
     return w;
 }
 
-/// Yen's loop from the first (shortest) path onward. `Weight` is a
-/// LinkWeight or a LinkWeightArray; both feed shortest_path the same
-/// doubles, so the paths are identical for equal weights. Spur paths
-/// are appended to a non-null `footprint`.
-template <class Weight>
-std::vector<WeightedPath> yen_from_first(const Subgraph& sg, NodeId src, NodeId dst,
-                                         const Weight& weight, std::size_t k,
-                                         SsspWorkspace& ws, WeightedPath first,
+}  // namespace
+
+std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
+                                         const LinkWeight& weight, std::size_t k) {
+    SsspWorkspace ws;
+    return yen_k_shortest(sg, src, dst, weight, k, ws);
+}
+
+std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
+                                         const LinkWeight& weight, std::size_t k,
+                                         SsspWorkspace& ws) {
+    POC_EXPECTS(k >= 1);
+    POC_EXPECTS(src != dst);
+    // The searches read a weight only for a link active in `sg`, so
+    // only those entries are filled: the same doubles the function
+    // would return per relaxation.
+    const ActiveAdjacency incidence(sg);
+    LinkWeightArray flat(sg.graph().link_count());
+    for (const LinkId l : incidence.active_links()) flat[l.index()] = weight(l);
+    auto first = shortest_path(sg, incidence, src, dst, flat, ws);
+    if (!first) return {};
+    return yen_k_shortest(sg, incidence, src, dst, flat, k, ws, std::move(*first));
+}
+
+std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, const ActiveAdjacency& incidence,
+                                         NodeId src, NodeId dst, const LinkWeightArray& weight,
+                                         std::size_t k, SsspWorkspace& ws, WeightedPath first,
                                          std::vector<LinkId>* footprint) {
     POC_EXPECTS(k >= 1);
     POC_EXPECTS(src != dst);
+    POC_EXPECTS(incidence.graph() == &sg.graph());
     const Graph& g = sg.graph();
 
     std::vector<WeightedPath> result;
@@ -70,7 +86,7 @@ std::vector<WeightedPath> yen_from_first(const Subgraph& sg, NodeId src, NodeId 
             // Deactivate all links incident to root nodes (except the
             // spur node) to keep paths loopless.
             for (std::size_t j = 0; j < i; ++j) {
-                for (const LinkId lid : g.incident(prev_nodes[j])) {
+                for (const LinkId lid : incidence.incident(prev_nodes[j])) {
                     if (work.is_active(lid)) {
                         work.set_active(lid, false);
                         removed_links.push_back(lid);
@@ -78,7 +94,7 @@ std::vector<WeightedPath> yen_from_first(const Subgraph& sg, NodeId src, NodeId 
                 }
             }
 
-            if (auto spur = shortest_path(work, spur_node, dst, weight, ws)) {
+            if (auto spur = shortest_path(work, incidence, spur_node, dst, weight, ws)) {
                 if (footprint != nullptr) {
                     footprint->insert(footprint->end(), spur->links.begin(), spur->links.end());
                 }
@@ -109,31 +125,6 @@ std::vector<WeightedPath> yen_from_first(const Subgraph& sg, NodeId src, NodeId 
         if (!advanced) break;  // path space exhausted
     }
     return result;
-}
-
-}  // namespace
-
-std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
-                                         const LinkWeight& weight, std::size_t k) {
-    SsspWorkspace ws;
-    return yen_k_shortest(sg, src, dst, weight, k, ws);
-}
-
-std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
-                                         const LinkWeight& weight, std::size_t k,
-                                         SsspWorkspace& ws) {
-    POC_EXPECTS(k >= 1);
-    POC_EXPECTS(src != dst);
-    auto first = shortest_path(sg, src, dst, weight, ws);
-    if (!first) return {};
-    return yen_from_first(sg, src, dst, weight, k, ws, std::move(*first), nullptr);
-}
-
-std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
-                                         const LinkWeightArray& weight, std::size_t k,
-                                         SsspWorkspace& ws, WeightedPath first,
-                                         std::vector<LinkId>* footprint) {
-    return yen_from_first(sg, src, dst, weight, k, ws, std::move(first), footprint);
 }
 
 }  // namespace poc::net

@@ -31,10 +31,12 @@ std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId 
 /// other k-1 only then. Identical results to the LinkWeight overloads
 /// given the same doubles. With a `footprint`, the links of every spur
 /// path a search returns are appended to it, whether or not that spur's
-/// candidate is picked (greedy routing's footprint, net/mcf.hpp).
-std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, NodeId src, NodeId dst,
-                                         const LinkWeightArray& weight, std::size_t k,
-                                         SsspWorkspace& ws, WeightedPath first,
+/// candidate is picked (greedy routing's footprint, net/mcf.hpp). The
+/// searches and the root-node masking scan `incidence`, an
+/// ActiveAdjacency built from `sg` or from a set containing it.
+std::vector<WeightedPath> yen_k_shortest(const Subgraph& sg, const ActiveAdjacency& incidence,
+                                         NodeId src, NodeId dst, const LinkWeightArray& weight,
+                                         std::size_t k, SsspWorkspace& ws, WeightedPath first,
                                          std::vector<LinkId>* footprint = nullptr);
 
 }  // namespace poc::net

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <span>
 
 #include "net/ksp.hpp"
 #include "obs/metrics.hpp"
@@ -56,12 +55,20 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) { return tm[a].gbps > tm[b].gbps; });
 
+    GreedyWorkspace local;
+    GreedyWorkspace& ws = opt.workspace != nullptr ? *opt.workspace : local;
+    if (opt.workspace == nullptr) local.incidence.assign(sg);
+    POC_EXPECTS(ws.incidence.graph() == &g);
+
     // Congestion-aware metric, one entry per link: length scaled up as
     // residual capacity shrinks, so routes prefer uncongested links.
     // Rewritten only for links whose residual changed, so each entry is
-    // the expression's value on the current residuals.
-    std::vector<double> residual(g.link_count(), 0.0);
-    LinkWeightArray weight(g.link_count(), 0.0);
+    // the expression's value on the current residuals. Only active
+    // links' entries are written and read.
+    std::vector<double>& residual = ws.residual;
+    LinkWeightArray& weight = ws.weight;
+    residual.resize(g.link_count());
+    weight.resize(g.link_count());
     const auto refresh_weight = [&](LinkId lid) {
         const Link& link = g.link(lid);
         const double cap = link.capacity_gbps * opt.utilization_cap;
@@ -81,14 +88,18 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
     // are toggled off around the search and restored via an undo list
     // (an excluded link's residual cannot change while it is excluded,
     // so restoring to active is always correct).
-    Subgraph usable = sg;
-    const std::span<const char> mask = sg.mask();
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-        if (mask[i] == 0) continue;
-        const LinkId lid{i};
-        residual[i] = g.link(lid).capacity_gbps * opt.utilization_cap;
+    if (ws.usable) {
+        *ws.usable = sg;
+    } else {
+        ws.usable.emplace(sg);
+    }
+    Subgraph& usable = *ws.usable;
+    // The incidence lists every active link (and perhaps more).
+    for (const LinkId lid : ws.incidence.active_links()) {
+        if (!sg.is_active(lid)) continue;
+        residual[lid.index()] = g.link(lid).capacity_gbps * opt.utilization_cap;
         refresh_weight(lid);
-        if (residual[i] <= kEps) usable.set_active(lid, false);
+        if (residual[lid.index()] <= kEps) usable.set_active(lid, false);
     }
 
     CommodityRouting routing;
@@ -96,7 +107,6 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
 
     std::vector<LinkId> excluded_undo;
     std::vector<WeightedPath> candidates;
-    SsspWorkspace ws;
 
     for (const std::size_t di : order) {
         const Demand& d = tm[di];
@@ -119,7 +129,7 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
         // falls short — before any residual changes, so Yen sees the
         // weights it would have seen had it run first.
         candidates.clear();
-        if (auto first = shortest_path(usable, d.src, d.dst, weight, ws)) {
+        if (auto first = shortest_path(usable, ws.incidence, d.src, d.dst, weight, ws.sssp)) {
             if (opt.footprint != nullptr) {
                 opt.footprint->insert(opt.footprint->end(), first->links.begin(),
                                       first->links.end());
@@ -132,8 +142,9 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
                 candidates.push_back(std::move(*first));
             } else {
                 POC_OBS_INC("net.greedy.yen_fallbacks");
-                candidates = yen_k_shortest(usable, d.src, d.dst, weight, kGreedyPaths, ws,
-                                            std::move(*first), opt.footprint);
+                candidates = yen_k_shortest(usable, ws.incidence, d.src, d.dst, weight,
+                                            kGreedyPaths, ws.sssp, std::move(*first),
+                                            opt.footprint);
             }
         }
         double remaining = d.gbps;

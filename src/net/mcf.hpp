@@ -40,6 +40,24 @@ struct CommodityRouting {
 /// where each demand avoids its own failed primary path).
 using CommodityExclusions = std::vector<std::vector<LinkId>>;
 
+/// Scratch for greedy_path_routing, reusable across runs on any graphs
+/// (DESIGN.md §6). A run writes only its active links' entries of the
+/// per-link arrays and never reads an inactive link's entry, so it does
+/// not clear them, and what an earlier run left there cannot reach a
+/// result. (Resizing to a larger graph fills only the new entries.)
+struct GreedyWorkspace {
+    /// The incidence greedy's searches scan. A caller that passes the
+    /// workspace builds it (`incidence.assign(sg)`, or from a set that
+    /// contains sg's active links) before the run; greedy reads it as is.
+    ActiveAdjacency incidence;
+    /// Greedy's scratch: per-link residual capacity and congestion
+    /// weight, the usable view, the search workspace.
+    std::vector<double> residual;
+    LinkWeightArray weight;
+    std::optional<Subgraph> usable;
+    SsspWorkspace sssp;
+};
+
 struct GreedyRoutingOptions {
     /// Capacity headroom: links are filled only to this fraction.
     double utilization_cap = 1.0;
@@ -52,6 +70,10 @@ struct GreedyRoutingOptions {
     /// footprint leaves the run unchanged (DESIGN.md §6), which is what
     /// the acceptability oracle's certificate rests on.
     std::vector<LinkId>* footprint = nullptr;
+    /// Optional scratch reused across runs, its incidence already built
+    /// (see GreedyWorkspace). Null: a local workspace, built from `sg`.
+    /// The routing is the same either way.
+    GreedyWorkspace* workspace = nullptr;
 };
 
 /// Water-filling over up to 4 Yen candidate paths per demand, demands

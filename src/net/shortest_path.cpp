@@ -155,14 +155,19 @@ namespace detail {
 // means identical relaxation order, and the arithmetic (nd = d + w) is
 // unchanged, so dist/parent/pred match the seed bit for bit. Stopping
 // at a target cuts the same pop sequence short, after the target's pop.
-template <class Weight>
-void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorkspace& ws,
-                  NodeId target) {
+// An ActiveAdjacency drops only links the search would skip, and keeps
+// the rest in Graph::incident order, so it relaxes the same links in
+// the same order as the full lists.
+template <class Incidence, class Weight>
+void run_dijkstra(const Subgraph& sg, const Incidence& incidence, NodeId source,
+                  Weight&& weight, SsspWorkspace& ws, NodeId target) {
     const Graph& g = sg.graph();
     POC_EXPECTS(source.index() < g.node_count());
     POC_EXPECTS(!target.valid() || target.index() < g.node_count());
     POC_OBS_INC("net.sssp.runs");
+    // Summed here and recorded once per run, so the loop has no atomic.
     std::uint64_t settled = 0;
+    std::uint64_t scanned = 0;
 
     // Flat SoA endpoints: the relaxation loop reads two uint32 lanes
     // instead of dereferencing 40-byte Link records. Identical values,
@@ -183,7 +188,9 @@ void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorksp
         if (d > ws.dist_[u.index()]) continue;  // stale entry (u is always stamped)
         ++settled;
         if (u == target) break;
-        for (const LinkId lid : g.incident(u)) {
+        const std::span<const LinkId> arcs = incidence.incident(u);
+        scanned += arcs.size();
+        for (const LinkId lid : arcs) {
             if (!sg.is_active(lid)) continue;
             const double w = weight(lid);
             POC_EXPECTS(w >= 0.0);
@@ -200,34 +207,48 @@ void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorksp
         }
     }
     POC_OBS_COUNT("net.sssp.settled", settled);
+    POC_OBS_COUNT("net.sssp.scanned", scanned);
 }
-
-template void run_dijkstra<const LinkWeight&>(const Subgraph&, NodeId, const LinkWeight&,
-                                              SsspWorkspace&, NodeId);
 
 }  // namespace detail
 
 ShortestPathTree dijkstra(const Subgraph& sg, NodeId source, const LinkWeight& weight) {
     SsspWorkspace ws;
-    detail::run_dijkstra(sg, source, weight, ws);
+    detail::run_dijkstra(sg, sg.graph(), source, weight, ws);
     return ws.to_tree();
 }
 
 void dijkstra_into(const Subgraph& sg, NodeId source, const LinkWeight& weight,
                    SsspWorkspace& ws) {
-    detail::run_dijkstra(sg, source, weight, ws);
+    detail::run_dijkstra(sg, sg.graph(), source, weight, ws);
 }
+
+namespace {
+
+template <class Incidence>
+void run_metric(const Subgraph& sg, const Incidence& incidence, NodeId source, SsspMetric metric,
+                SsspWorkspace& ws) {
+    switch (metric) {
+        case SsspMetric::kLength:
+            detail::run_dijkstra(sg, incidence, source, LengthWeight{sg.graph().link_soa()}, ws);
+            break;
+        case SsspMetric::kUnit:
+            detail::run_dijkstra(sg, incidence, source, UnitWeight{}, ws);
+            break;
+    }
+}
+
+}  // namespace
 
 void dijkstra_metric_into(const Subgraph& sg, NodeId source, SsspMetric metric,
                           SsspWorkspace& ws) {
-    switch (metric) {
-        case SsspMetric::kLength:
-            detail::run_dijkstra(sg, source, LengthWeight{sg.graph().link_soa()}, ws);
-            break;
-        case SsspMetric::kUnit:
-            detail::run_dijkstra(sg, source, UnitWeight{}, ws);
-            break;
-    }
+    run_metric(sg, sg.graph(), source, metric, ws);
+}
+
+void dijkstra_metric_into(const Subgraph& sg, const ActiveAdjacency& incidence, NodeId source,
+                          SsspMetric metric, SsspWorkspace& ws) {
+    POC_EXPECTS(incidence.graph() == &sg.graph());
+    run_metric(sg, incidence, source, metric, ws);
 }
 
 std::optional<ShortestPathTree> bellman_ford(const Subgraph& sg, NodeId source,
@@ -276,10 +297,10 @@ std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId
 
 namespace {
 
-template <class Weight>
-std::optional<WeightedPath> search_path(const Subgraph& sg, NodeId src, NodeId dst,
-                                        Weight&& weight, SsspWorkspace& ws) {
-    detail::run_dijkstra(sg, src, std::forward<Weight>(weight), ws, dst);
+template <class Incidence, class Weight>
+std::optional<WeightedPath> search_path(const Subgraph& sg, const Incidence& incidence, NodeId src,
+                                        NodeId dst, Weight&& weight, SsspWorkspace& ws) {
+    detail::run_dijkstra(sg, incidence, src, std::forward<Weight>(weight), ws, dst);
     if (!ws.reachable(dst)) return std::nullopt;
     WeightedPath wp;
     ws.append_path_to(dst, wp.links);
@@ -291,13 +312,15 @@ std::optional<WeightedPath> search_path(const Subgraph& sg, NodeId src, NodeId d
 
 std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
                                           const LinkWeight& weight, SsspWorkspace& ws) {
-    return search_path(sg, src, dst, weight, ws);
+    return search_path(sg, sg.graph(), src, dst, weight, ws);
 }
 
-std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
-                                          const LinkWeightArray& weight, SsspWorkspace& ws) {
+std::optional<WeightedPath> shortest_path(const Subgraph& sg, const ActiveAdjacency& incidence,
+                                          NodeId src, NodeId dst, const LinkWeightArray& weight,
+                                          SsspWorkspace& ws) {
+    POC_EXPECTS(incidence.graph() == &sg.graph());
     POC_EXPECTS(weight.size() == sg.graph().link_count());
-    return search_path(sg, src, dst, ArrayWeight{weight}, ws);
+    return search_path(sg, incidence, src, dst, ArrayWeight{weight}, ws);
 }
 
 std::vector<NodeId> path_nodes(const Graph& g, NodeId src, const std::vector<LinkId>& links) {

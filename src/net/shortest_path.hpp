@@ -59,12 +59,15 @@ class SsspWorkspace;
 using LinkWeightArray = std::vector<double>;
 
 namespace detail {
-/// Dijkstra from `source` into `ws`. With a valid `target` the search
-/// stops as soon as the target is settled: its dist and parent chain
-/// are then final (see shortest_path), but other nodes may be partial.
-template <class Weight>
-void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorkspace& ws,
-                  NodeId target = NodeId{});
+/// Dijkstra from `source` into `ws`. A settled node's links are read
+/// from `incidence.incident(node)` — the Graph's full lists or an
+/// ActiveAdjacency built from `sg` or from a set containing it — and
+/// those `sg` lacks are skipped. With a valid `target` the search stops
+/// as soon as the target is settled: its dist and parent chain are then
+/// final (see shortest_path), but other nodes may be partial.
+template <class Incidence, class Weight>
+void run_dijkstra(const Subgraph& sg, const Incidence& incidence, NodeId source,
+                  Weight&& weight, SsspWorkspace& ws, NodeId target = NodeId{});
 }
 
 /// Reusable single-source shortest-path scratch: flat dist/parent/pred
@@ -121,9 +124,10 @@ public:
     ShortestPathTree to_tree() const;
 
 private:
-    template <class Weight>
-    friend void detail::run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight,
-                                     SsspWorkspace& ws, NodeId target);
+    template <class Incidence, class Weight>
+    friend void detail::run_dijkstra(const Subgraph& sg, const Incidence& incidence,
+                                     NodeId source, Weight&& weight, SsspWorkspace& ws,
+                                     NodeId target);
 
     struct HeapItem {
         double dist;
@@ -167,6 +171,12 @@ void dijkstra_into(const Subgraph& sg, NodeId source, const LinkWeight& weight,
 void dijkstra_metric_into(const Subgraph& sg, NodeId source, SsspMetric metric,
                           SsspWorkspace& ws);
 
+/// dijkstra_metric_into scanning `incidence`, an ActiveAdjacency built
+/// from `sg` or from a set containing it, instead of the graph's full
+/// incidence lists: the same tree, since the lists keep their order.
+void dijkstra_metric_into(const Subgraph& sg, const ActiveAdjacency& incidence, NodeId source,
+                          SsspMetric metric, SsspWorkspace& ws);
+
 /// Bellman-Ford over active links. Supports negative weights; returns
 /// std::nullopt if a negative cycle is reachable from the source.
 std::optional<ShortestPathTree> bellman_ford(const Subgraph& sg, NodeId source,
@@ -195,10 +205,14 @@ std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId
 std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
                                           const LinkWeight& weight, SsspWorkspace& ws);
 
-/// shortest_path over flat per-link weights (size == link_count()):
-/// the same result as a LinkWeight returning the same doubles.
-std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
-                                          const LinkWeightArray& weight, SsspWorkspace& ws);
+/// shortest_path over flat per-link weights (size == link_count()),
+/// scanning `incidence` (an ActiveAdjacency built from `sg` or from a
+/// set containing it) instead of the graph's full incidence lists: the
+/// same result as a LinkWeight returning the same doubles. Only the
+/// weights of links active in `sg` are read.
+std::optional<WeightedPath> shortest_path(const Subgraph& sg, const ActiveAdjacency& incidence,
+                                          NodeId src, NodeId dst, const LinkWeightArray& weight,
+                                          SsspWorkspace& ws);
 
 /// The node sequence visited by a path starting at `src`. Requires the
 /// links to form a connected walk from src.

@@ -68,11 +68,15 @@ std::shared_ptr<const EpochView> build_epoch_view(
     // path queries answer kUnreachable instead of faulting.
     // One workspace serves every source; the inlined length metric reads
     // the same doubles as weight_by_length, so the trees are identical.
+    // The searches scan the backbone's own incidence lists (a few dozen
+    // links) instead of every offered link's, in the same order.
     const net::Subgraph backbone(graph, view->backbone);
+    const net::ActiveAdjacency incidence(backbone);
     net::SsspWorkspace ws;
     view->trees.reserve(graph.node_count());
     for (std::size_t n = 0; n < graph.node_count(); ++n) {
-        net::dijkstra_metric_into(backbone, net::NodeId(n), net::SsspMetric::kLength, ws);
+        net::dijkstra_metric_into(backbone, incidence, net::NodeId(n), net::SsspMetric::kLength,
+                                  ws);
         view->trees.push_back(ws.to_tree());
     }
 

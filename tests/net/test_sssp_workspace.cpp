@@ -198,6 +198,7 @@ TEST(SsspWorkspace, EarlyStopShortestPathMatchesFullTree) {
             net::weight_unit(),  // exact ties everywhere
             [&](LinkId l) { return zero_some[l.index()]; },
         };
+        const net::ActiveAdjacency incidence(sg);
         const net::LinkWeightArray arrays[] = {
             [&] {
                 net::LinkWeightArray a(g.link_count());
@@ -217,7 +218,7 @@ TEST(SsspWorkspace, EarlyStopShortestPathMatchesFullTree) {
                     const auto reused =
                         net::shortest_path(sg, NodeId{s}, NodeId{t}, metrics[m], ws);
                     const auto flat =
-                        net::shortest_path(sg, NodeId{s}, NodeId{t}, arrays[m], ws);
+                        net::shortest_path(sg, incidence, NodeId{s}, NodeId{t}, arrays[m], ws);
                     if (!tree.reachable(NodeId{t})) {
                         EXPECT_FALSE(plain.has_value());
                         EXPECT_FALSE(reused.has_value());
