@@ -54,8 +54,8 @@ LinkSetKey::LinkSetKey(const net::Subgraph& sg) {
 void LinkSetKey::canonicalize() {
     while (!words_.empty() && words_.back() == 0) words_.pop_back();
     // One multiply and one xorshift per word, then a full avalanche
-    // (splitmix64's finalizer) so the low bits that pick the shard and
-    // the bucket depend on every word. Only lookups read the hash:
+    // (splitmix64's finalizer) so the low bits that pick the bucket
+    // depend on every word. Only lookups read the hash:
     // nothing persists it or iterates the tables in its order.
     std::uint64_t h = words_.size();
     for (const std::uint64_t w : words_) {
@@ -67,58 +67,68 @@ void LinkSetKey::canonicalize() {
     hash_ = static_cast<std::size_t>(h ^ (h >> 31));
 }
 
-std::optional<bool> AuctionCache::find_verdict(const LinkSetKey& key) const {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.verdicts.find(key);
-    if (it == shard.verdicts.end()) {
-        verdict_misses_.fetch_add(1, std::memory_order_relaxed);
+namespace {
+
+/// The entry for `key` in `base` (the base cache's table, if any) or,
+/// failing that, in `table`; null when neither holds it. A key is in at
+/// most one of them: an overlay stores only after missing both.
+template <typename Value>
+const Value* find_in(const std::unordered_map<LinkSetKey, Value, LinkSetKey::Hash>& table,
+                     const std::unordered_map<LinkSetKey, Value, LinkSetKey::Hash>* base,
+                     const LinkSetKey& key) {
+    if (base != nullptr) {
+        if (const auto it = base->find(key); it != base->end()) return &it->second;
+    }
+    const auto it = table.find(key);
+    return it == table.end() ? nullptr : &it->second;
+}
+
+}  // namespace
+
+std::optional<bool> AuctionCache::find_verdict(const LinkSetKey& key) {
+    const bool* found = find_in(verdicts_, base_ ? &base_->verdicts_ : nullptr, key);
+    if (found == nullptr) {
+        ++stats_.verdict_misses;
         return std::nullopt;
     }
-    verdict_hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    ++stats_.verdict_hits;
+    return *found;
 }
 
 void AuctionCache::store_verdict(const LinkSetKey& key, bool verdict) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Concurrent re-evaluations of the same set store the same pure
-    // verdict; first writer wins and the others are no-ops.
-    shard.verdicts.emplace(key, verdict);
+    verdicts_.emplace(key, verdict);
 }
 
-std::optional<std::optional<Selection>> AuctionCache::find_solve(const LinkSetKey& key) const {
-    std::lock_guard<std::mutex> lock(solve_mutex_);
-    const auto it = solves_.find(key);
-    if (it == solves_.end()) {
-        solve_misses_.fetch_add(1, std::memory_order_relaxed);
+std::optional<std::optional<Selection>> AuctionCache::find_solve(const LinkSetKey& key) {
+    const auto* found = find_in(solves_, base_ ? &base_->solves_ : nullptr, key);
+    if (found == nullptr) {
+        ++stats_.solve_misses;
         return std::nullopt;
     }
-    solve_hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    ++stats_.solve_hits;
+    return *found;
 }
 
 void AuctionCache::store_solve(const LinkSetKey& key, const std::optional<Selection>& result) {
-    std::lock_guard<std::mutex> lock(solve_mutex_);
     solves_.emplace(key, result);
 }
 
-void AuctionCache::clear() {
-    for (Shard& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.verdicts.clear();
-    }
-    std::lock_guard<std::mutex> lock(solve_mutex_);
-    solves_.clear();
+bool AuctionCache::holds_solve(const LinkSetKey& key) const {
+    return find_in(solves_, base_ ? &base_->solves_ : nullptr, key) != nullptr;
 }
 
-AuctionCache::Stats AuctionCache::stats() const {
-    Stats s;
-    s.verdict_hits = verdict_hits_.load(std::memory_order_relaxed);
-    s.verdict_misses = verdict_misses_.load(std::memory_order_relaxed);
-    s.solve_hits = solve_hits_.load(std::memory_order_relaxed);
-    s.solve_misses = solve_misses_.load(std::memory_order_relaxed);
-    return s;
+void AuctionCache::absorb(AuctionCache&& overlay) {
+    verdicts_.merge(overlay.verdicts_);
+    solves_.merge(overlay.solves_);
+    stats_.verdict_hits += overlay.stats_.verdict_hits;
+    stats_.verdict_misses += overlay.stats_.verdict_misses;
+    stats_.solve_hits += overlay.stats_.solve_hits;
+    stats_.solve_misses += overlay.stats_.solve_misses;
+}
+
+void AuctionCache::clear() {
+    verdicts_.clear();
+    solves_.clear();
 }
 
 bool CachingOracle::lookup(const net::Subgraph& sg, OracleWitness* witness) const {

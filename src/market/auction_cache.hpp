@@ -10,16 +10,16 @@
 //    coincides with an earlier solve (e.g. a BP that offered nothing)
 //    reuses it outright.
 //
-// Thread-safe: the pivot re-solves of run_auction share one cache
-// across the work-stealing pool. The verdict table is sharded to keep
-// lock contention off the hot path; hit/miss tallies are atomics so the
-// accounting stays exact under concurrency.
+// Not thread-safe, and needs not be: concurrent Clarke pivots each
+// write to a private overlay (an AuctionCache with a `base`) over the
+// winner solve's memo, which nothing writes while they run, and
+// run_auction absorbs the overlays into that memo in bid order after the
+// join. A pivot's lookups therefore see the same entries at every thread
+// count.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -33,7 +33,7 @@ namespace poc::market {
 /// keys however they were described — an id list in any order, or a
 /// Subgraph's activity mask over a graph of any size — and a set of L
 /// links over ids below N costs N/8 bytes, not 4L. The hash is computed
-/// once, at construction, and serves both the shard pick and the table.
+/// once, at construction, and serves the table lookup.
 class LinkSetKey {
 public:
     /// Key of an id list; duplicates collapse. Implicit: an id list is
@@ -69,17 +69,34 @@ public:
         std::size_t solve_misses = 0;
     };
 
+    AuctionCache() = default;
+    /// An overlay: lookups fall through to `base` and stores land here.
+    /// `base` must outlive the overlay and not change while it is used.
+    explicit AuctionCache(const AuctionCache* base) : base_(base) {}
+
     /// Cached oracle verdict for the link set, if any.
-    std::optional<bool> find_verdict(const LinkSetKey& key) const;
+    std::optional<bool> find_verdict(const LinkSetKey& key);
     void store_verdict(const LinkSetKey& key, bool verdict);
 
     /// Cached winner-determination result for the available set. The
     /// outer optional distinguishes "not cached" from a cached
     /// infeasible solve (inner nullopt).
-    std::optional<std::optional<Selection>> find_solve(const LinkSetKey& key) const;
+    std::optional<std::optional<Selection>> find_solve(const LinkSetKey& key);
     void store_solve(const LinkSetKey& key, const std::optional<Selection>& result);
+    /// Whether the solve is cached, without counting a hit or a miss.
+    bool holds_solve(const LinkSetKey& key) const;
 
-    Stats stats() const;
+    /// Move an overlay's entries and tallies into this cache. Entries
+    /// this cache already holds stay (equal keys hold equal values).
+    void absorb(AuctionCache&& overlay);
+
+    const Stats& stats() const noexcept { return stats_; }
+
+    /// Whether both caches memoize the same verdicts and solves (their
+    /// own entries: bases and tallies aside).
+    bool same_entries(const AuctionCache& other) const {
+        return verdicts_ == other.verdicts_ && solves_ == other.solves_;
+    }
 
     /// Drop every memoized verdict and solve. The hit/miss tallies are
     /// lifetime counters and survive (callers difference them around a
@@ -89,22 +106,10 @@ public:
     void clear();
 
 private:
-    struct Shard {
-        mutable std::mutex mutex;
-        std::unordered_map<LinkSetKey, bool, LinkSetKey::Hash> verdicts;
-    };
-    static constexpr std::size_t kShards = 16;
-
-    Shard& shard_for(const LinkSetKey& key) const { return shards_[key.hash() % kShards]; }
-
-    mutable Shard shards_[kShards];
-    mutable std::mutex solve_mutex_;
+    const AuctionCache* base_ = nullptr;
+    std::unordered_map<LinkSetKey, bool, LinkSetKey::Hash> verdicts_;
     std::unordered_map<LinkSetKey, std::optional<Selection>, LinkSetKey::Hash> solves_;
-
-    mutable std::atomic<std::size_t> verdict_hits_{0};
-    mutable std::atomic<std::size_t> verdict_misses_{0};
-    mutable std::atomic<std::size_t> solve_hits_{0};
-    mutable std::atomic<std::size_t> solve_misses_{0};
+    Stats stats_;
 };
 
 /// Oracle decorator that answers from an AuctionCache and delegates to

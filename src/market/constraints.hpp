@@ -96,9 +96,12 @@ private:
 /// The interface the winner-determination search drives: is the active
 /// link set acceptable? `accepts()` funnels every query through an
 /// atomic counter so the `oracle_queries` diagnostic stays exact when
-/// the auction engine fans Clarke-pivot re-solves across a thread pool.
+/// the auction engine fans Clarke-pivot re-solves across threads.
 /// Implementations provide accepts_impl(), which must be a pure
-/// function of the active link set and safe to call concurrently.
+/// function of the active link set, and safe to call concurrently when
+/// the oracle has a verdict_fingerprint(): run_auction fans pivots out
+/// only over such an oracle, and queries one without a fingerprint from
+/// the calling thread alone.
 /// Oracles that can use or forward a witness also override
 /// accepts_witnessed(); the default drops the witness, which is always
 /// sound.
@@ -213,9 +216,11 @@ private:
 /// deadline set it is a transparent pass-through.
 ///
 /// Thread-safety: set_deadline() must be called only while no auction
-/// is in flight (the runtime sets it around each run_auction call);
-/// the fault hook must itself be safe to invoke from pivot worker
-/// threads when AuctionOptions::threads > 1.
+/// is in flight (the runtime sets it around each run_auction call). A
+/// fault hook is never called concurrently: it removes the fingerprint,
+/// so run_auction queries this oracle in serial order on the calling
+/// thread whatever AuctionOptions::threads says. The deadline's clock
+/// is read from pivot threads when there is no hook.
 class FallibleOracle final : public Oracle {
 public:
     using FaultHook = std::function<void()>;

@@ -51,9 +51,10 @@ struct OfferDigest {
 
 /// The carried warm-start state. One instance per auction *sequence*
 /// (a chaos run, a scenario, an epoch runtime); run_auction consults it
-/// through AuctionOptions::delta. Not itself thread-safe — begin_run
-/// happens serially at each auction boundary — but the cache it hands
-/// out is, exactly as in the per-auction case.
+/// through AuctionOptions::delta. Not thread-safe, and needs not be:
+/// begin_run happens serially at each auction boundary, and concurrent
+/// Clarke pivots write only to their own overlays over the cache it
+/// hands out (market/auction_cache.hpp).
 class DeltaReclearState {
 public:
     struct Stats {

@@ -1,14 +1,12 @@
 #include "market/vcg.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <mutex>
 #include <utility>
 
 #include "market/auction_cache.hpp"
 #include "market/delta_reclear.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace poc::market {
 
@@ -39,29 +37,29 @@ private:
     mutable std::vector<net::LinkId> order_;
 };
 
-/// One winner-determination solve, optionally memoized under the
-/// available set.
+/// One winner-determination solve over `available`, memoized in `cache`
+/// (if any) under `key`, the available set's.
 std::optional<Selection> solve(const OfferPool& pool, const Oracle& oracle,
-                               const std::vector<net::LinkId>& available,
+                               const std::vector<net::LinkId>& available, const LinkSetKey& key,
                                const AuctionOptions& opt, const AuctionRemovalOrder& order,
                                AuctionCache* cache) {
-    std::optional<LinkSetKey> key;
     if (cache) {
-        key.emplace(available);
-        if (const auto hit = cache->find_solve(*key)) return *hit;
+        if (const auto hit = cache->find_solve(key)) return *hit;
     }
     auto result = opt.exact ? select_links_exact(pool, oracle, available)
                             : select_links(pool, oracle, available, order.get(), opt.windet);
-    if (cache) cache->store_solve(*key, result);
+    if (cache) cache->store_solve(key, result);
     return result;
 }
 
 /// One BP's Clarke pivot. Reads only shared-const state (pool, oracle,
-/// SL) plus the thread-safe cache, and touches no other BP's outcome —
-/// pivots are independent by construction, so the engine may run them
-/// concurrently and the results cannot depend on scheduling.
+/// SL) and writes only its own memo overlay, if any, and touches no
+/// other BP's outcome: pivots are independent by construction, so the
+/// engine may run them concurrently and the results cannot depend on
+/// scheduling.
 BpOutcome clarke_pivot(const OfferPool& pool, const Oracle& oracle, const Selection& sl,
-                       const BpBid& bid, const AuctionOptions& opt,
+                       const BpBid& bid, const std::vector<net::LinkId>& without,
+                       const LinkSetKey& key, const AuctionOptions& opt,
                        const AuctionRemovalOrder& order, AuctionCache* cache) {
     // Telemetry only (obs is a pure side channel): per-pivot latency
     // histogram plus a span in the epoch timeline.
@@ -77,8 +75,7 @@ BpOutcome clarke_pivot(const OfferPool& pool, const Oracle& oracle, const Select
     out.bid_cost = *own_cost;
 
     // Clarke pivot: re-solve with this BP's offers withdrawn.
-    const auto sl_without =
-        solve(pool, oracle, pool.offered_links_without(bid.bp()), opt, order, cache);
+    const auto sl_without = solve(pool, oracle, without, key, opt, order, cache);
     if (!sl_without) {
         // A(OL - L_alpha) empty: the paper's assumption is violated;
         // the pivot term is undefined. Pay the declared cost and
@@ -101,10 +98,6 @@ BpOutcome clarke_pivot(const OfferPool& pool, const Oracle& oracle, const Select
 }
 
 }  // namespace
-
-bool parallel_pivots_engaged(const AuctionOptions& opt, std::size_t pivot_count) {
-    return opt.threads > 1 && pivot_count > 1 && pivot_count >= opt.parallel_min_pivots;
-}
 
 std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& oracle,
                                          const AuctionOptions& opt) {
@@ -136,7 +129,8 @@ std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& or
         cache_ptr != nullptr ? cache_ptr->stats() : AuctionCache::Stats{};
 
     const AuctionRemovalOrder order(pool);
-    const auto sl = solve(pool, *engine_oracle, pool.offered_links(), opt, order, cache_ptr);
+    const auto sl = solve(pool, *engine_oracle, pool.offered_links(), pool.offered_links(), opt,
+                          order, cache_ptr);
     if (!sl) {
         POC_OBS_INC("market.auction.infeasible");
         POC_OBS_COUNT("market.auction.oracle_queries", oracle.query_count() - queries_before);
@@ -155,31 +149,46 @@ std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& or
 
     const std::vector<BpBid>& bids = pool.bids();
     result.outcomes.resize(bids.size());
-    if (parallel_pivots_engaged(opt, bids.size())) {
-        // The graph's adjacency index builds lazily on first use; warm
-        // it before concurrent readers race to be that first use.
-        pool.graph().warm_adjacency();
-        std::vector<std::exception_ptr> errors(bids.size());
-        util::ThreadPool threads(opt.threads - 1);  // parallel_for joins the calling thread
-        threads.parallel_for(bids.size(), [&](std::size_t i) {
-            try {
-                result.outcomes[i] =
-                    clarke_pivot(pool, *engine_oracle, *sl, bids[i], opt, order, cache_ptr);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        });
-        // Rethrow the first error in bid order, so failures too are
-        // deterministic under concurrency.
-        for (const std::exception_ptr& error : errors) {
-            if (error) std::rethrow_exception(error);
-        }
-    } else {
-        for (std::size_t i = 0; i < bids.size(); ++i) {
-            result.outcomes[i] =
-                clarke_pivot(pool, *engine_oracle, *sl, bids[i], opt, order, cache_ptr);
-        }
+    // With the memo engaged, each pivot solves through a private overlay
+    // over it. The memo stays as the winner solve left it until every
+    // pivot is done; then the overlays are absorbed in bid order. So a
+    // pivot's queries, hits and witness disarms depend only on that memo
+    // and its own overlay, never on what runs beside it, and a serial
+    // run does the same work as a parallel one.
+    std::vector<std::vector<net::LinkId>> without;
+    std::vector<LinkSetKey> keys;
+    for (const BpBid& bid : bids) {
+        without.push_back(pool.offered_links_without(bid.bp()));
+        keys.emplace_back(without.back());
     }
+    std::vector<AuctionCache> overlays;
+    std::size_t unsolved = bids.size();
+    if (cache_ptr != nullptr) {
+        overlays.assign(bids.size(), AuctionCache(cache_ptr));
+        unsolved = static_cast<std::size_t>(
+            std::count_if(keys.begin(), keys.end(),
+                          [&](const LinkSetKey& key) { return !cache_ptr->holds_solve(key); }));
+    }
+    // Fan out only over the pivots the memo cannot answer (a warm run's
+    // usually all hit, and start no thread), and only for an oracle that
+    // certifies purity: one with a fault hook sees its queries in serial
+    // order. An engaged memo implies a fingerprint.
+    std::size_t width = std::min(opt.threads, unsolved);
+    if (width > 1 && cache_ptr == nullptr && !oracle.verdict_fingerprint()) width = 1;
+    // The graph's adjacency index builds lazily on first use; warm it
+    // before concurrent readers race to be that first use.
+    if (width > 1) pool.graph().warm_adjacency();
+    util::parallel_for(width, bids.size(), [&](std::size_t i) {
+        if (cache_ptr == nullptr) {
+            result.outcomes[i] =
+                clarke_pivot(pool, oracle, *sl, bids[i], without[i], keys[i], opt, order, nullptr);
+            return;
+        }
+        const CachingOracle pivot_oracle(oracle, overlays[i]);
+        result.outcomes[i] = clarke_pivot(pool, pivot_oracle, *sl, bids[i], without[i], keys[i],
+                                          opt, order, &overlays[i]);
+    });
+    for (AuctionCache& overlay : overlays) cache_ptr->absorb(std::move(overlay));
 
     // Serial assembly in bid order: the totals and the lookup index do
     // not depend on pivot completion order.

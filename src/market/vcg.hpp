@@ -17,6 +17,7 @@
 
 #include "market/windet.hpp"
 #include "util/journal.hpp"
+#include "util/thread_pool.hpp"
 
 namespace poc::market {
 
@@ -76,18 +77,15 @@ struct AuctionOptions {
     bool exact = false;
     WinnerDeterminationOptions windet;
     /// Threads for the per-BP Clarke-pivot re-solves, which are
-    /// independent by construction, counting the calling thread: the
-    /// pool gets threads - 1 workers, and the caller works alongside
-    /// them. 0 or 1 = serial (the reproducible default); any value
-    /// produces bit-identical results.
-    std::size_t threads = 1;
-    /// Minimum number of pivot re-solves (= bids) before the thread
-    /// pool is engaged at all. Below it the auction runs serially even
-    /// with threads > 1: pool spin-up/teardown costs more than a
-    /// handful of pivots (the BENCH_auction.json small-instance rows
-    /// sat at 0.75-0.99x serial before this gate). Identical results
-    /// on both sides of the cutover.
-    std::size_t parallel_min_pivots = 8;
+    /// independent by construction, counting the calling thread; 0 or
+    /// 1 = serial. The pivots fan out over min(threads, pivots whose
+    /// solve the memo does not hold) threads, and only when the oracle
+    /// certifies purity (Oracle::verdict_fingerprint): a warm auction
+    /// the memo answers starts no thread, and an oracle without a
+    /// fingerprint (one with a fault hook) is queried in serial order.
+    /// Results, oracle query counts and memo hit counts are the same at
+    /// every value.
+    std::size_t threads = util::hardware_threads();
     /// The memo (market/delta_reclear.hpp): when set and the oracle
     /// certifies purity (Oracle::verdict_fingerprint), this auction
     /// memoizes oracle verdicts and whole pivot solves, and reuses the
@@ -109,10 +107,6 @@ struct AuctionOptions {
 /// (no backbone can be provisioned from the offers).
 std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& oracle,
                                          const AuctionOptions& opt = {});
-
-/// Whether run_auction would fan `pivot_count` Clarke pivots across a
-/// pool under `opt` (exposed so tests can pin the cutover exactly).
-bool parallel_pivots_engaged(const AuctionOptions& opt, std::size_t pivot_count);
 
 /// Binary (de)serialization of a full AuctionResult for the durable
 /// epoch runtime's write-ahead journal: byte-exact round trip of every

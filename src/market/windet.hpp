@@ -27,6 +27,8 @@ namespace poc::market {
 struct Selection {
     std::vector<net::LinkId> links;
     util::Money cost;
+
+    friend bool operator==(const Selection&, const Selection&) = default;
 };
 
 struct WinnerDeterminationOptions {

@@ -193,13 +193,7 @@ void sharded_primary_flow(const Subgraph& sg, const TrafficMatrixSoA& tm,
 #endif
     };
 
-    const std::size_t threads = std::max<std::size_t>(1, opt.threads);
-    if (threads <= 1 || shard_count <= 1) {
-        for (std::size_t s = 0; s < shard_count; ++s) run_shard(s);
-    } else {
-        util::ThreadPool pool(threads - 1);  // parallel_for joins the calling thread
-        pool.parallel_for(shard_count, run_shard);
-    }
+    util::parallel_for(opt.threads, shard_count, run_shard);
 
 #if POC_OBS_ENABLED
     if (shard_count > 0) {

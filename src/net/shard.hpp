@@ -37,9 +37,9 @@ struct ShardOptions {
     /// run one task; values above the source count are clamped down.
     /// Execution granularity only; never affects results.
     std::size_t shards = 1;
-    /// Threads executing shard tasks (1 = inline serial execution; a
-    /// pool of threads-1 workers is spun up per call and the calling
-    /// thread joins it). Schedule only; never affects results.
+    /// Threads executing shard tasks, counting the calling thread (0 or
+    /// 1 = inline serial execution; util::parallel_for starts the rest
+    /// per call). Schedule only; never affects results.
     std::size_t threads = 1;
     /// Optional shared tree cache (with optional dynamic repair, see
     /// net/path_cache.hpp): per-source trees are looked up there

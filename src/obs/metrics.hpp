@@ -56,10 +56,13 @@ namespace poc::obs {
 namespace detail {
 
 /// Stable per-thread shard index: threads round-robin onto shards once
-/// at first use, so a thread's increments always land on "its" line.
-inline std::size_t shard_index() noexcept {
+/// at first use, so a thread's increments always land on "its" line. A
+/// thread started for one batch beside its caller may take the caller's
+/// index plus its rank instead (util::parallel_for does), so up to
+/// kShards threads of one batch never share a line.
+inline std::size_t& shard_index() noexcept {
     static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
+    thread_local std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
     return idx;
 }
 

@@ -20,8 +20,9 @@
 //
 // Ring buffers are owned by the TraceRegistry and live until process
 // exit; a thread that exits releases its ring for reuse by the next
-// new thread (undrained records survive the handoff), so churning
-// thread pools do not grow the registry without bound.
+// new thread (undrained records survive the handoff), so the threads
+// util::parallel_for starts per call do not grow the registry without
+// bound.
 //
 // Lifetime contract: a TraceRegistry must outlive every thread that
 // records into it — thread exit hands the ring back to the owning
@@ -30,7 +31,7 @@
 // from threads joined before the registry dies.
 //
 // Header-only for the same reason as obs/metrics.hpp: poc_util's
-// thread pool must be traceable without a library cycle. With
+// fan-out must be traceable without a library cycle. With
 // POC_OBS_DISABLED the Span type and macros compile to nothing.
 #pragma once
 

@@ -207,9 +207,11 @@ struct RuntimeOptions : EngineOptions {
     /// Per-epoch oracle fault hook, invoked on every oracle query of
     /// that epoch's primary clearing path. May throw
     /// util::TransientError (degraded oracle) or sleep (slow oracle).
-    /// Must be thread-safe when request.auction.threads > 1. While a
-    /// hook is installed the oracle opts out of purity certification,
-    /// so every epoch clears cold whatever `use_delta_reclear` says.
+    /// While a hook is installed the oracle opts out of purity
+    /// certification, so every epoch clears cold whatever
+    /// `use_delta_reclear` says, and its queries run in serial order on
+    /// the clearing thread whatever request.auction.threads says: the
+    /// hook is never called concurrently.
     std::function<void(std::size_t)> oracle_fault;
     /// Data plane for the per-epoch flow measurement (DESIGN.md §9):
     /// kGreedy = seed water-filling, kPrimary = sharded shortest-path

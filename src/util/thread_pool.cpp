@@ -1,176 +1,59 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <vector>
+
 #include "obs/metrics.hpp"
-#include "util/contracts.hpp"
 
 namespace poc::util {
 
-ThreadPool::ThreadPool(std::size_t workers) {
-    POC_EXPECTS(workers >= 1);
-    queues_.reserve(workers);
-    parking_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-        queues_.push_back(std::make_unique<Queue>());
-        parking_.push_back(std::make_unique<Parking>());
-    }
-    parked_.reserve(workers);
-    threads_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-        threads_.emplace_back([this, i] { worker_loop(i); });
-    }
+std::size_t hardware_threads() {
+    static const std::size_t n = std::max(1u, std::thread::hardware_concurrency());
+    return n;
 }
 
-ThreadPool::~ThreadPool() {
-    wait_idle();  // queued work is never dropped
+namespace detail {
+
+void fan_out(std::size_t threads, std::size_t count, const std::function<void(std::size_t)>& fn) {
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::vector<std::exception_ptr> errors(count);
+    const auto drain = [&] {
+        while (!failed.load(std::memory_order_relaxed)) {
+            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count) return;
+            try {
+                fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+                failed.store(true, std::memory_order_relaxed);
+            }
+        }
+    };
     {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        stop_ = true;
-        for (const auto& p : parking_) p->cv.notify_one();
-    }
-    for (std::thread& t : threads_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-    POC_EXPECTS(task != nullptr);
-    POC_OBS_INC("util.pool.tasks_submitted");
-    POC_OBS_GAUGE_ADD("util.pool.queue_depth", 1);
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    // The push happens under sleep_mutex_ in both branches: a worker
-    // re-scans the queues under sleep_mutex_ before parking, so a task
-    // pushed while the lock is held is either seen by that re-scan or
-    // lands after the worker is on parked_ (and gets the targeted
-    // wakeup). Lock order is sleep_mutex_ -> queue mutex, matching
-    // any_queued() under the parking lock.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    if (!parked_.empty()) {
-        // Hand the task directly to a parked worker and wake exactly
-        // that worker. The task never touches a deque, so a busy
-        // worker mid-scan cannot steal it — an idle pool's steal
-        // counter stays flat.
-        const std::size_t q = parked_.back();
-        parked_.pop_back();
-        parking_[q]->task = std::move(task);
-        parking_[q]->signaled = true;
-        parking_[q]->cv.notify_one();
-        return;
-    }
-    // Every worker is busy: round-robin placement for balance.
-    const std::size_t q = next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-    std::lock_guard<std::mutex> qlock(queues_[q]->mutex);
-    queues_[q]->tasks.push_back(std::move(task));
-}
-
-std::function<void()> ThreadPool::take(std::size_t home) {
-    const std::size_t n = queues_.size();
-    for (std::size_t k = 0; k < n; ++k) {
-        Queue& q = *queues_[(home + k) % n];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        if (q.tasks.empty()) continue;
-        std::function<void()> task;
-        if (k == 0) {  // own deque: oldest first
-            task = std::move(q.tasks.front());
-            q.tasks.pop_front();
-        } else {  // steal the newest from the victim
-            task = std::move(q.tasks.back());
-            q.tasks.pop_back();
-            POC_OBS_INC("util.pool.steals");
+        // Each helper counts on the obs shard after its caller's and its
+        // lower-ranked siblings', so the batch's counters do not share
+        // cache lines however many batches ran before.
+        const std::size_t shard = obs::detail::shard_index();
+        std::vector<std::jthread> helpers;  // joined on scope exit, also on a throw
+        helpers.reserve(threads - 1);
+        for (std::size_t t = 1; t < threads; ++t) {
+            helpers.emplace_back([&drain, shard, t] {
+                obs::detail::shard_index() = shard + t;
+                drain();
+            });
         }
-        POC_OBS_GAUGE_SUB("util.pool.queue_depth", 1);
-        return task;
+        drain();
     }
-    return {};
-}
-
-bool ThreadPool::any_queued() {
-    for (const auto& q : queues_) {
-        std::lock_guard<std::mutex> lock(q->mutex);
-        if (!q->tasks.empty()) return true;
-    }
-    return false;
-}
-
-void ThreadPool::finish_one() {
-    POC_OBS_INC("util.pool.tasks_executed");
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        idle_cv_.notify_all();
+    // Every claimed index below count ran; claims past it came last.
+    POC_OBS_COUNT("util.pool.tasks_executed", std::min(next.load(), count));
+    for (const std::exception_ptr& error : errors) {
+        if (error) std::rethrow_exception(error);
     }
 }
 
-void ThreadPool::worker_loop(std::size_t home) {
-    Parking& self = *parking_[home];
-    for (;;) {
-        if (auto task = take(home)) {
-            task();
-            finish_one();
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(sleep_mutex_);
-        if (stop_) return;
-        if (any_queued()) continue;  // raced with a submit; retry take
-        // Park: once this worker is on parked_, the next submit targets
-        // it directly. Spurious wakeups stay inside the predicate wait
-        // (still parked, still on the stack).
-        self.signaled = false;
-        parked_.push_back(home);
-        self.cv.wait(lock, [&] { return self.signaled || stop_; });
-        if (stop_) return;
-        if (self.task) {
-            auto task = std::move(self.task);
-            self.task = nullptr;
-            lock.unlock();
-            POC_OBS_GAUGE_SUB("util.pool.queue_depth", 1);
-            task();
-            finish_one();
-        }
-    }
-}
-
-void ThreadPool::wait_idle() {
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    idle_cv_.wait(lock, [this] { return pending_.load(std::memory_order_acquire) == 0; });
-}
-
-void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
-    if (count == 0) return;
-    // Batch lives on the caller's stack, so the entire completion
-    // handshake stays under batch.mutex: a worker's final decrement and
-    // notify happen inside the lock, and the caller only observes
-    // remaining == 0 under the same lock. Once it does, no worker can
-    // still be touching the batch, making destruction safe.
-    struct Batch {
-        std::mutex mutex;
-        std::condition_variable done;
-        std::size_t remaining;
-    } batch{{}, {}, count};
-
-    for (std::size_t i = 0; i < count; ++i) {
-        submit([&batch, &fn, i] {
-            fn(i);
-            std::lock_guard<std::mutex> lock(batch.mutex);
-            if (--batch.remaining == 0) batch.done.notify_all();
-        });
-    }
-
-    // The caller drains the pool alongside the workers until this
-    // batch's tasks have all finished. It may execute tasks from another
-    // concurrent batch it happens to steal; that is still useful work.
-    for (;;) {
-        {
-            std::lock_guard<std::mutex> lock(batch.mutex);
-            if (batch.remaining == 0) return;
-        }
-        if (auto task = take(0)) {
-            task();
-            finish_one();
-            continue;
-        }
-        // Nothing left to steal: the remaining tasks are running on
-        // workers. Sleep until the last of them signals the batch.
-        std::unique_lock<std::mutex> lock(batch.mutex);
-        batch.done.wait(lock, [&batch] { return batch.remaining == 0; });
-        return;
-    }
-}
-
+}  // namespace detail
 }  // namespace poc::util

@@ -1,91 +1,39 @@
-// A small work-stealing thread pool for embarrassingly parallel
-// batches — in this codebase, the auction engine's independent per-BP
-// Clarke-pivot re-solves (market/vcg.cpp) — that is also fit to idle
-// inside a long-running process (the serve daemon). Design: one deque
-// per worker guarded by its own mutex; a worker pops from the front of
-// its own deque and steals from the back of another's when empty, so
-// uneven task costs rebalance without a single contended queue.
-// parallel_for()'s calling thread joins the stealing loop, so a pool
-// of N workers drains N+1 wide.
+// The fan-out for embarrassingly parallel batches: the auction engine's
+// independent per-BP Clarke-pivot re-solves (market/vcg.cpp) and the
+// sharded flow pass's shard tasks (net/shard.cpp). One call starts its
+// threads, runs the batch, and joins them; nothing idles between calls.
 //
-// Idle behavior: workers park on their *own* condition variable (LIFO
-// parked stack under sleep_mutex_), and submit() hands the task
-// *directly* to a parked worker's handoff slot with a targeted wakeup
-// when one exists — the task never sits in a stealable deque — falling
-// back to round-robin queue placement only when every worker is busy.
-// A mostly-idle pool therefore executes submissions without steals:
-// the obs "util.pool.steals" counter measures real load imbalance, and
-// an idle pool burns no CPU between tasks.
-//
-// Tasks must not throw: ferry errors out by hand (run_auction catches
-// into std::exception_ptr slots and rethrows after the join).
+// Every thread, the calling thread included, claims the next index from
+// one atomic counter, so indices start in index order and no thread
+// steals from another: a batch's work is the same at every width, and
+// only which thread runs an index depends on timing.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace poc::util {
 
-class ThreadPool {
-public:
-    /// Spin up `workers` threads (>= 1).
-    explicit ThreadPool(std::size_t workers);
-    ~ThreadPool();
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
+/// The host's hardware thread count, at least 1.
+std::size_t hardware_threads();
 
-    std::size_t worker_count() const noexcept { return queues_.size(); }
+namespace detail {
+void fan_out(std::size_t threads, std::size_t count, const std::function<void(std::size_t)>& fn);
+}  // namespace detail
 
-    /// Enqueue one task. Thread-safe.
-    void submit(std::function<void()> task);
-
-    /// Block until every task submitted so far has finished.
-    void wait_idle();
-
-    /// Run fn(0), ..., fn(count-1) across the pool and the calling
-    /// thread; returns when all of them have finished.
-    void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
-
-private:
-    struct Queue {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
-
-    /// Per-worker parking slot. All fields guarded by sleep_mutex_.
-    /// `task` is the direct-handoff slot: filled by submit() targeting
-    /// this parked worker, drained by the worker on wakeup.
-    struct Parking {
-        std::condition_variable cv;
-        bool signaled = false;
-        std::function<void()> task;
-    };
-
-    /// Pop a task: front of the `home` deque, else steal from the back
-    /// of the others. Empty function when nothing is queued anywhere.
-    std::function<void()> take(std::size_t home);
-    bool any_queued();
-    void worker_loop(std::size_t home);
-    void finish_one();
-
-    std::vector<std::unique_ptr<Queue>> queues_;
-    std::vector<std::unique_ptr<Parking>> parking_;
-    std::vector<std::thread> threads_;
-    std::mutex sleep_mutex_;
-    std::condition_variable idle_cv_;
-    std::atomic<std::size_t> pending_{0};  // submitted, not yet finished
-    std::atomic<std::size_t> next_queue_{0};
-    /// Workers currently parked, most recently parked last (LIFO keeps
-    /// warm workers busy). Guarded by sleep_mutex_.
-    std::vector<std::size_t> parked_;
-    bool stop_ = false;  // guarded by sleep_mutex_
-};
+/// Run fn(0), ..., fn(count - 1) on min(width, count) threads, counting
+/// the calling thread; width 0 or 1 runs them inline, in order, and
+/// allocates nothing. Once an index throws, no further index starts;
+/// when every started one has finished, the exception of the lowest
+/// index that threw is rethrown. Indices start in order, so that is the
+/// one a serial run would throw.
+template <typename Fn>
+void parallel_for(std::size_t width, std::size_t count, Fn&& fn) {
+    if (width <= 1 || count <= 1) {
+        for (std::size_t i = 0; i < count; ++i) fn(i);
+        return;
+    }
+    detail::fan_out(width < count ? width : count, count, std::ref(fn));
+}
 
 }  // namespace poc::util

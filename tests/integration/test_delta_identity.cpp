@@ -142,7 +142,6 @@ TEST(DeltaIdentity, RandomFlipWalkMatchesColdAcrossThreadsAndCache) {
 
                 market::AuctionOptions warm_opt;
                 warm_opt.threads = threads;
-                warm_opt.parallel_min_pivots = 1;
                 warm_opt.delta = &state;
                 // The cold side: unmemoized, or a fresh per-auction memo.
                 market::DeltaReclearState fresh;

@@ -66,6 +66,31 @@ TEST(AuctionCache, StatsCountHitsAndMisses) {
     EXPECT_EQ(stats.solve_misses, 1u);
 }
 
+TEST(AuctionCache, OverlayReadsItsBaseAndIsAbsorbedIntoIt) {
+    AuctionCache base;
+    base.store_verdict(links({0}), true);
+    base.store_solve(links({0}), std::nullopt);
+
+    AuctionCache overlay(&base);
+    EXPECT_EQ(overlay.find_verdict(links({0})), std::optional<bool>(true));  // from the base
+    EXPECT_TRUE(overlay.holds_solve(links({0})));
+    EXPECT_FALSE(overlay.find_verdict(links({1})).has_value());
+    overlay.store_verdict(links({1}), false);
+    overlay.store_verdict(links({0}), true);  // already in the base
+    EXPECT_EQ(overlay.find_verdict(links({1})), std::optional<bool>(false));
+    // Stores land in the overlay only, and the base counts nothing.
+    EXPECT_FALSE(base.find_verdict(links({1})).has_value());
+    EXPECT_EQ(base.stats().verdict_hits, 0u);
+
+    base.absorb(std::move(overlay));
+    EXPECT_EQ(base.find_verdict(links({1})), std::optional<bool>(false));
+    EXPECT_EQ(base.find_verdict(links({0})), std::optional<bool>(true));
+    // The overlay's tallies (two hits, one miss) join the base's own.
+    const AuctionCache::Stats stats = base.stats();
+    EXPECT_EQ(stats.verdict_hits, 4u);
+    EXPECT_EQ(stats.verdict_misses, 2u);
+}
+
 TEST(CachingOracle, AnswersFromCacheWithoutReevaluating) {
     test::ParallelLinksFixture fx;
     const AcceptabilityOracle inner(fx.graph, fx.demand(8.0), ConstraintKind::kLoad);
@@ -105,8 +130,7 @@ TEST(Oracle, QueryCountIsExactUnderConcurrency) {
     fx.graph.warm_adjacency();
 
     constexpr std::size_t kQueries = 400;
-    util::ThreadPool pool(8);
-    pool.parallel_for(kQueries, [&](std::size_t) {
+    util::parallel_for(8, kQueries, [&](std::size_t) {
         const net::Subgraph sg(fx.graph);
         (void)oracle.accepts(sg);
     });

@@ -1,17 +1,28 @@
 // The determinism contract of the parallel/cached auction engine
 // (DESIGN.md §5): Clarke pivots are independent and oracle verdicts are
 // pure functions of the link set, so fanning the pivot re-solves across
-// a thread pool and memoizing verdicts/solves must produce the same
+// threads and memoizing verdicts/solves must produce the same
 // AuctionResult bit for bit — selection, payments, PoB, outlay — as the
-// serial uncached path, for any thread count.
+// serial uncached path, for any thread count. With the memo, each pivot
+// works on its own overlay, so the work counts are the same at every
+// thread count too.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
 
 #include "helpers/market.hpp"
 #include "market/delta_reclear.hpp"
 #include "market/pricing.hpp"
 #include "market/vcg.hpp"
 #include "net/path_cache.hpp"
+#include "obs/metrics.hpp"
 #include "topo/traffic.hpp"
+#include "util/journal.hpp"
+#include "util/retry.hpp"
 
 namespace poc::market {
 namespace {
@@ -37,6 +48,13 @@ void expect_identical(const AuctionResult& a, const AuctionResult& b, const char
     }
 }
 
+/// The reference: serial and unmemoized.
+AuctionOptions serial_options() {
+    AuctionOptions opt;
+    opt.threads = 1;
+    return opt;
+}
+
 struct EngineConfig {
     std::size_t threads;
     bool cache;
@@ -60,7 +78,7 @@ TEST_P(ParallelAuctionProperty, RandomPoolsHeuristicSolver) {
         return run_auction(pool, oracle, opt);
     };
 
-    const auto baseline = run({});
+    const auto baseline = run(serial_options());
     for (const EngineConfig& config : kConfigs) {
         DeltaReclearState memo;  // fresh: a per-auction memo
         AuctionOptions opt;
@@ -94,7 +112,7 @@ TEST_P(ParallelAuctionProperty, RandomPoolsExactSolver) {
         return run_auction(pool, oracle, opt);
     };
 
-    AuctionOptions serial;
+    AuctionOptions serial = serial_options();
     serial.exact = true;
     const auto baseline = run(serial);
     for (const EngineConfig& config : kConfigs) {
@@ -135,7 +153,7 @@ TEST_P(ParallelAuctionProperty, GeneratedTopologyFastOracle) {
         return run_auction(pool, oracle, opt);
     };
 
-    const auto baseline = run({});
+    const auto baseline = run(serial_options());
     for (const EngineConfig& config : kConfigs) {
         DeltaReclearState memo;  // fresh: a per-auction memo
         AuctionOptions opt;
@@ -150,63 +168,191 @@ TEST_P(ParallelAuctionProperty, GeneratedTopologyFastOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelAuctionProperty,
                          ::testing::Values(401, 402, 403, 404, 405, 406));
 
-TEST(ParallelPivotCutover, EngagementRulePinned) {
-    // The small-instance guard: below `parallel_min_pivots` Clarke
-    // pivots, pool setup costs more than the fan-out saves, so the
-    // engine must stay serial. Pin the default and the exact cutover.
-    AuctionOptions opt;
-    EXPECT_EQ(opt.parallel_min_pivots, 8u);
-
-    opt.threads = 4;
-    EXPECT_FALSE(parallel_pivots_engaged(opt, 0));
-    EXPECT_FALSE(parallel_pivots_engaged(opt, 1));
-    EXPECT_FALSE(parallel_pivots_engaged(opt, 7));  // one below the default
-    EXPECT_TRUE(parallel_pivots_engaged(opt, 8));   // exactly at the default
-    EXPECT_TRUE(parallel_pivots_engaged(opt, 100));
-
-    opt.threads = 1;  // serial request never engages
-    EXPECT_FALSE(parallel_pivots_engaged(opt, 100));
-
-    opt.threads = 2;
-    opt.parallel_min_pivots = 0;  // floor removed: only the >1 guard remains
-    EXPECT_FALSE(parallel_pivots_engaged(opt, 1));
-    EXPECT_TRUE(parallel_pivots_engaged(opt, 2));
-
-    opt.parallel_min_pivots = 3;
-    EXPECT_FALSE(parallel_pivots_engaged(opt, 2));
-    EXPECT_TRUE(parallel_pivots_engaged(opt, 3));
+std::string result_bytes(const std::optional<AuctionResult>& result) {
+    util::BinaryWriter w;
+    w.boolean(result.has_value());
+    if (result) write_auction_result(w, *result);  // counters included
+    return w.bytes();
 }
 
-TEST(ParallelPivotCutover, BothSidesOfCutoverBitIdentical) {
-    // 3-bid instances sit below the default threshold: force the
-    // threshold to both sides of the instance size and require the
-    // identical result either way.
-    for (const std::uint64_t seed : {501u, 502u, 503u}) {
-        test::RandomSmallInstance inst(seed);
-        const OfferPool pool = inst.pool();
-        auto run = [&](const AuctionOptions& opt) {
-            const AcceptabilityOracle oracle(inst.graph, inst.tm, ConstraintKind::kLoad);
-            return run_auction(pool, oracle, opt);
-        };
-        const auto baseline = run({});
+/// One auction on a fresh oracle (so lifetime query counts compare) and
+/// a fresh memo, which the caller may inspect afterwards.
+struct MemoRun {
+    std::optional<AuctionResult> result;
+    DeltaReclearState memo;
+};
 
-        AuctionOptions engaged;  // pivots >= threshold: pool fan-out
-        engaged.threads = 8;
-        engaged.parallel_min_pivots = 2;
-        AuctionOptions below;  // pivots < threshold: serial fallback
-        below.threads = 8;
-        below.parallel_min_pivots = 100;
-        ASSERT_TRUE(parallel_pivots_engaged(engaged, pool.bids().size()));
-        ASSERT_FALSE(parallel_pivots_engaged(below, pool.bids().size()));
+void run_with_memo(MemoRun& run, const OfferPool& pool, const net::TrafficMatrix& tm,
+                   OracleFidelity fidelity, std::size_t threads) {
+    OracleOptions oopt;
+    oopt.fidelity = fidelity;
+    const AcceptabilityOracle oracle(pool.graph(), tm, ConstraintKind::kLoad, oopt);
+    AuctionOptions opt;
+    opt.threads = threads;
+    opt.delta = &run.memo;
+    run.result = run_auction(pool, oracle, opt);
+}
 
-        const auto a = run(engaged);
-        const auto b = run(below);
-        ASSERT_EQ(baseline.has_value(), a.has_value());
-        ASSERT_EQ(baseline.has_value(), b.has_value());
-        if (baseline) {
-            expect_identical(*baseline, *a, "engaged");
-            expect_identical(*baseline, *b, "below cutover");
+/// Runs the auction `repeats` times at each width and requires every
+/// run to equal the serial one: the result's bytes with its counters,
+/// and the memo's entries once the overlays are absorbed.
+void expect_same_work_at_every_width(const OfferPool& pool, const net::TrafficMatrix& tm,
+                                     OracleFidelity fidelity, std::size_t repeats) {
+    MemoRun serial;
+    run_with_memo(serial, pool, tm, fidelity, 1);
+    ASSERT_TRUE(serial.result.has_value());
+    const std::string want = result_bytes(serial.result);
+    for (std::size_t rep = 0; rep < repeats; ++rep) {
+        for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+            SCOPED_TRACE("threads " + std::to_string(threads) + " repeat " + std::to_string(rep));
+            MemoRun run;
+            run_with_memo(run, pool, tm, fidelity, threads);
+            ASSERT_TRUE(run.result.has_value());
+            EXPECT_EQ(run.result->oracle_queries, serial.result->oracle_queries);
+            EXPECT_EQ(run.result->oracle_cache_hits, serial.result->oracle_cache_hits);
+            EXPECT_EQ(run.result->solve_cache_hits, serial.result->solve_cache_hits);
+            EXPECT_EQ(result_bytes(run.result), want);
+            EXPECT_TRUE(run.memo.cache().same_entries(serial.memo.cache()));
         }
+    }
+}
+
+TEST(ParallelPivotWork, RandomPoolsCountTheSameAtEveryWidth) {
+    for (const std::uint64_t seed : {601u, 602u, 603u, 604u}) {
+        SCOPED_TRACE(seed);
+        test::RandomSmallInstance inst(seed, 6);
+        const OfferPool pool = inst.pool();
+        for (const OracleFidelity fidelity : {OracleFidelity::kExact, OracleFidelity::kFast}) {
+            expect_same_work_at_every_width(pool, inst.tm, fidelity, 50);
+        }
+    }
+}
+
+TEST(ParallelPivotWork, PaperTopologyCountsTheSameAtEveryWidth) {
+    // The paper-scale instance the fig2 bench and clear-paper clear: 20
+    // BPs (generator seed 42), gravity demands aggregated to the top 20.
+    topo::PocTopology topology =
+        topo::build_poc_topology(topo::generate_bp_networks({}), {});
+    const OfferPool pool = make_offer_pool(topology);
+    topo::GravityOptions gopt;
+    gopt.total_gbps = 5000.0;
+    const auto tm = topo::aggregate_top_n(topo::gravity_traffic(topology, gopt), 20);
+    expect_same_work_at_every_width(pool, tm, OracleFidelity::kFast, 50);
+}
+
+TEST(ParallelPivotWidth, MemoAnsweredWarmAuctionStartsNoThread) {
+    test::RandomSmallInstance inst(611, 6);
+    const OfferPool pool = inst.pool();
+    const AcceptabilityOracle oracle(inst.graph, inst.tm, ConstraintKind::kLoad);
+    DeltaReclearState memo;
+    AuctionOptions opt;
+    opt.threads = 4;
+    opt.delta = &memo;
+    const obs::Counter& tasks = obs::registry().counter("util.pool.tasks_executed");
+
+    const std::uint64_t before_cold = tasks.value();
+    const auto cold = run_auction(pool, oracle, opt);
+    ASSERT_TRUE(cold.has_value());
+    const std::uint64_t before_warm = tasks.value();
+    const std::size_t queries_before_warm = oracle.query_count();
+    const auto warm = run_auction(pool, oracle, opt);
+    ASSERT_TRUE(warm.has_value());
+    expect_identical(*cold, *warm, "warm");
+    // The warm run is answered from the memo in full: every pivot solve
+    // hits, so its width is 1 and nothing fans out.
+    EXPECT_EQ(oracle.query_count(), queries_before_warm);
+    EXPECT_EQ(warm->solve_cache_hits, pool.bids().size() + 1);
+    EXPECT_EQ(tasks.value(), before_warm);
+#if POC_OBS_ENABLED
+    // The cold run fanned its pivots out (the counter is live).
+    EXPECT_EQ(before_warm - before_cold, pool.bids().size());
+#else
+    (void)before_cold;
+#endif
+}
+
+/// Forwards to an inner oracle with no purity fingerprint, as a fault
+/// hook would, and records the threads that query it and how many
+/// queries overlap.
+class UncertifiedOracle final : public Oracle {
+public:
+    explicit UncertifiedOracle(const Oracle& inner) : inner_(inner) {}
+
+    std::set<std::thread::id> threads() const {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return threads_;
+    }
+    int max_in_flight() const { return max_in_flight_.load(); }
+
+private:
+    bool accepts_impl(const net::Subgraph& sg) const override {
+        const int now = in_flight_.fetch_add(1) + 1;
+        int seen = max_in_flight_.load();
+        while (now > seen && !max_in_flight_.compare_exchange_weak(seen, now)) {
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            threads_.insert(std::this_thread::get_id());
+        }
+        const bool verdict = inner_.accepts(sg);
+        in_flight_.fetch_sub(1);
+        return verdict;
+    }
+
+    const Oracle& inner_;
+    mutable std::mutex mutex_;
+    mutable std::set<std::thread::id> threads_;
+    mutable std::atomic<int> in_flight_{0};
+    mutable std::atomic<int> max_in_flight_{0};
+};
+
+TEST(ParallelPivotWidth, OracleWithoutFingerprintIsNeverQueriedConcurrently) {
+    for (const std::uint64_t seed : {621u, 622u, 623u}) {
+        test::RandomSmallInstance inst(seed, 6);
+        const OfferPool pool = inst.pool();
+        const AcceptabilityOracle base(inst.graph, inst.tm, ConstraintKind::kLoad);
+        const auto baseline = run_auction(pool, base, serial_options());
+
+        const UncertifiedOracle uncertified(base);
+        DeltaReclearState memo;  // not engaged: there is no fingerprint
+        AuctionOptions opt;
+        opt.threads = 8;
+        opt.delta = &memo;
+        const auto result = run_auction(pool, uncertified, opt);
+        ASSERT_EQ(baseline.has_value(), result.has_value());
+        if (baseline) expect_identical(*baseline, *result, "uncertified");
+        EXPECT_EQ(uncertified.max_in_flight(), 1);
+        EXPECT_EQ(uncertified.threads(), std::set<std::thread::id>{std::this_thread::get_id()});
+    }
+}
+
+TEST(ParallelPivotWidth, FaultHookSeesTheSerialQuerySequence) {
+    // A fault hook makes the oracle opt out of purity, so the auction
+    // stays serial at any width: the hook runs on the calling thread and
+    // its Nth call, the one that fails, is the same query as in a serial
+    // run.
+    test::RandomSmallInstance inst(631, 6);
+    const OfferPool pool = inst.pool();
+    const AcceptabilityOracle probe(inst.graph, inst.tm, ConstraintKind::kLoad);
+    ASSERT_TRUE(run_auction(pool, probe, serial_options()).has_value());
+    const std::size_t fail_at = probe.query_count() / 2;
+    ASSERT_GT(fail_at, 0u);
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        const AcceptabilityOracle inner(inst.graph, inst.tm, ConstraintKind::kLoad);
+        std::size_t calls = 0;
+        std::set<std::thread::id> callers;
+        const FallibleOracle fallible(inner, [&] {
+            callers.insert(std::this_thread::get_id());
+            if (++calls == fail_at) throw util::TransientError("injected");
+        });
+        AuctionOptions opt;
+        opt.threads = threads;
+        EXPECT_THROW(run_auction(pool, fallible, opt), util::TransientError);
+        EXPECT_EQ(calls, fail_at);
+        EXPECT_EQ(inner.query_count(), fail_at - 1);
+        EXPECT_EQ(callers, std::set<std::thread::id>{std::this_thread::get_id()});
     }
 }
 
@@ -226,7 +372,7 @@ TEST_P(PathCacheAuctionProperty, SharedTreeCacheIsBitIdentical) {
         base_opt.fidelity = fidelity;
         const AcceptabilityOracle plain(inst.graph, inst.tm,
                                         ConstraintKind::kPerPairFailure, base_opt);
-        const auto baseline = run_auction(pool, plain, {});
+        const auto baseline = run_auction(pool, plain, serial_options());
 
         net::PathCache cache;
         OracleOptions cached_opt = base_opt;
@@ -236,7 +382,6 @@ TEST_P(PathCacheAuctionProperty, SharedTreeCacheIsBitIdentical) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
             AuctionOptions aopt;
             aopt.threads = threads;
-            aopt.parallel_min_pivots = 2;
             const auto result = run_auction(pool, cached, aopt);
             ASSERT_EQ(baseline.has_value(), result.has_value());
             if (baseline) expect_identical(*baseline, *result, "path cache");

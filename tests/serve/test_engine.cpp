@@ -10,10 +10,10 @@
 #include <atomic>
 #include <filesystem>
 #include <thread>
+#include <vector>
 
 #include "helpers/market.hpp"
 #include "util/journal.hpp"
-#include "util/thread_pool.hpp"
 
 namespace poc::serve {
 namespace {
@@ -188,7 +188,7 @@ TEST_F(ServeEngineTest, QueryStormIsBitNonPerturbing) {
 
     // Stormed: same run with the daemon attached and a query storm --
     // synchronous queries from the commit hook plus concurrent ones on
-    // a query pool, including historical materializations that scan
+    // their own threads, including historical materializations that scan
     // the live journal mid-run.
     sim::RuntimeOptions stormed = base_options(5);
     stormed.journal_path = journal("stormed.wal");
@@ -196,7 +196,7 @@ TEST_F(ServeEngineTest, QueryStormIsBitNonPerturbing) {
     sopt.meter.quota_units = 1e9;
     ServeEngine engine(pool, tm, stormed, sopt);
     engine.attach(stormed);
-    util::ThreadPool queries(2);
+    std::vector<std::thread> queries;
     const auto user_hook = stormed.on_epoch_commit;
     stormed.on_epoch_commit = [&](const sim::EpochCommit& commit) {
         user_hook(commit);
@@ -204,12 +204,12 @@ TEST_F(ServeEngineTest, QueryStormIsBitNonPerturbing) {
             engine.quote("storm", "B");
             engine.sla("storm");
             engine.path("storm", net::NodeId{0u}, net::NodeId{1u});
-            queries.submit([&engine] { engine.sla("storm-async"); });
+            queries.emplace_back([&engine] { engine.sla("storm-async"); });
         }
         engine.at_epoch("storm", commit.completed_epochs);
     };
     const sim::RuntimeOutcome under_storm = sim::EpochRuntime(pool, tm, stormed).run();
-    queries.wait_idle();
+    for (std::thread& query : queries) query.join();
 
     expect_identical(under_storm, baseline, "query storm must not perturb the run");
 

@@ -2,156 +2,111 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.hpp"
-#include "util/contracts.hpp"
-
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace poc::util {
 namespace {
 
-TEST(ThreadPool, RequiresAtLeastOneWorker) {
-    EXPECT_THROW(ThreadPool(0), ContractViolation);
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.worker_count(), 3u);
-}
-
 TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
-    ThreadPool pool(4);
     constexpr std::size_t kCount = 1000;
     std::vector<std::atomic<int>> hits(kCount);
-    pool.parallel_for(kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
+    parallel_for(4, kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kCount; ++i) {
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
     }
 }
 
 TEST(ThreadPool, ParallelForZeroCountReturnsImmediately) {
-    ThreadPool pool(2);
-    pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
+    for (const std::size_t width : {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
+        parallel_for(width, 0, [](std::size_t) { FAIL() << "must not be called"; });
+    }
+}
+
+TEST(ThreadPool, ParallelForWidthOneRunsInlineInOrder) {
+    for (const std::size_t width : {std::size_t{0}, std::size_t{1}}) {
+        std::vector<std::size_t> order;
+        std::set<std::thread::id> ids;
+        parallel_for(width, 16, [&](std::size_t i) {
+            order.push_back(i);
+            ids.insert(std::this_thread::get_id());
+        });
+        ASSERT_EQ(order.size(), 16u);
+        for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+        EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
+    }
 }
 
 TEST(ThreadPool, CallerParticipatesInDraining) {
-    // More tasks than workers; the calling thread must help, otherwise
-    // a 1-worker pool would serialize these with no benefit. We only
-    // assert completion plus that at least the worker or caller ran
-    // tasks (timing-independent).
-    ThreadPool pool(1);
-    std::atomic<int> ran{0};
-    pool.parallel_for(64, [&](std::size_t) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ran.fetch_add(1);
+    // Width 2 starts one helper thread. Each index waits until both have
+    // started, so both finish only when the calling thread runs one.
+    std::latch both(2);
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    parallel_for(2, 2, [&](std::size_t) {
+        both.count_down();
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!both.try_wait() && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
     });
-    EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, SubmitAndWaitIdle) {
-    ThreadPool pool(3);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i) {
-        pool.submit([&ran] { ran.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-    ThreadPool pool(2);
-    std::atomic<int> total{0};
-    for (int batch = 0; batch < 5; ++batch) {
-        pool.parallel_for(20, [&](std::size_t) { total.fetch_add(1); });
-    }
-    EXPECT_EQ(total.load(), 100);
+    EXPECT_TRUE(both.try_wait());
+    EXPECT_EQ(ids.size(), 2u);
+    EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
 }
 
 TEST(ThreadPool, UnevenTaskCostsAllComplete) {
-    // Work stealing: one deque receives the heavy tasks (round-robin
-    // distribution puts every 4th task there); idle workers steal them.
-    ThreadPool pool(4);
     std::atomic<int> ran{0};
-    pool.parallel_for(32, [&](std::size_t i) {
+    parallel_for(4, 32, [&](std::size_t i) {
         if (i % 4 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
         ran.fetch_add(1);
     });
     EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ThreadPool, DestructorDrainsQueuedWork) {
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i) {
-            pool.submit([&ran] { ran.fetch_add(1); });
-        }
-        // No wait_idle: the destructor must finish the queue.
-    }
-    EXPECT_EQ(ran.load(), 50);
-}
-
-#if POC_OBS_ENABLED
-TEST(ThreadPool, IdlePoolSubmissionsBarelySteal) {
-    // Regression for the daemon's steady state: a mostly-idle pool
-    // serving occasional tasks. submit() must hand each task directly
-    // to a parked worker (targeted wakeup, never via a stealable
-    // deque), not wake an arbitrary worker that then steals it — both
-    // so the obs "steals" counter measures real load imbalance and so
-    // an idle pool does no rebalancing work. Before the targeted-
-    // handoff fix, ~3/4 of these single-task submissions landed as
-    // steals.
-    ThreadPool pool(4);
-    // Warm up and let every worker reach its parked state.
-    pool.parallel_for(8, [](std::size_t) {});
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-    const auto steals_before = obs::registry().counter("util.pool.steals").value();
-    constexpr int kTasks = 200;
-    std::atomic<int> ran{0};
-    for (int i = 0; i < kTasks; ++i) {
-        pool.submit([&ran] { ran.fetch_add(1); });
-        pool.wait_idle();
-    }
-    EXPECT_EQ(ran.load(), kTasks);
-    const auto growth = obs::registry().counter("util.pool.steals").value() - steals_before;
-    // Near-zero, not exactly zero: with >= 3 of the 4 workers parked at
-    // every submit, each task takes the direct-handoff path, which has
-    // nothing to steal. The tiny slack covers a submit landing in the
-    // instant all four workers happen to be between task and park.
-    EXPECT_LE(growth, 4u) << "idle-pool submissions ran as steals";
-}
-#endif
-
-TEST(ThreadPool, BurstAfterLongIdleCompletes) {
-    // All workers parked for a while, then a burst wider than the pool:
-    // targeted wakeups must revive every worker, and the round-robin
-    // fallback must still spread the overflow.
-    ThreadPool pool(4);
-    pool.parallel_for(4, [](std::size_t) {});
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 256; ++i) {
-        pool.submit([&ran] { ran.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 256);
-}
-
 TEST(ThreadPool, TasksRunOnMultipleThreadsWhenAvailable) {
-    ThreadPool pool(4);
     std::mutex mutex;
     std::set<std::thread::id> ids;
-    pool.parallel_for(64, [&](std::size_t) {
+    parallel_for(4, 64, [&](std::size_t) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         std::lock_guard<std::mutex> lock(mutex);
         ids.insert(std::this_thread::get_id());
     });
-    // Workers + caller bound; at least one thread must have run tasks.
+    // The caller and at most three helpers.
     EXPECT_GE(ids.size(), 1u);
-    EXPECT_LE(ids.size(), pool.worker_count() + 1);
+    EXPECT_LE(ids.size(), 4u);
+}
+
+TEST(ThreadPool, ParallelForStopsAfterAThrowAndRethrowsTheLowestIndex) {
+    // Indices 3, 10, 17, ... throw. Serially nothing past 3 starts; at
+    // any width the rethrown error is index 3's, since every index below
+    // a failing one was claimed, and so ran, before it.
+    for (const std::size_t width :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+        std::vector<std::atomic<int>> ran(64);
+        try {
+            parallel_for(width, ran.size(), [&](std::size_t i) {
+                ran[i].fetch_add(1);
+                if (i % 7 == 3) throw std::runtime_error(std::to_string(i));
+            });
+            ADD_FAILURE() << "width " << width << ": no exception";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "3") << "width " << width;
+        }
+        for (std::size_t i = 0; i <= 3; ++i) EXPECT_EQ(ran[i].load(), 1) << "width " << width;
+        if (width == 1) {
+            for (std::size_t i = 4; i < ran.size(); ++i) EXPECT_EQ(ran[i].load(), 0);
+        }
+    }
 }
 
 }  // namespace
