@@ -1,7 +1,8 @@
 // Perf baseline for the auction engine (DESIGN.md §5): sweeps BP count
 // × link count × engine mode (serial / parallel / cached /
 // parallel+cached, where "cached" is a fresh delta memo per auction,
-// plus the exact solver on a small instance), times
+// plus the exact solver on a small instance and the paper-scale
+// instance), times
 // `market::run_auction`, verifies every mode produces the bit-identical
 // AuctionResult, and emits BENCH_auction.json for regression tracking.
 //
@@ -65,6 +66,23 @@ Instance topology_instance(std::size_t bp_count, std::size_t max_cities, std::ui
     std::ostringstream label;
     label << "topo-" << bp_count << "bp";
     inst.label = label.str();
+    return inst;
+}
+
+/// The paper-scale instance of fig2_auction, micro_obs and perfbench's
+/// clear-paper clear: 20 BPs (generator seed 42), gravity demands
+/// aggregated to the top 20, the kFast oracle. Its demands outgrow
+/// their shortest paths, so greedy's later Yen candidates run here.
+Instance paper_instance() {
+    static std::deque<topo::PocTopology> topologies;
+    topologies.push_back(topo::build_poc_topology(topo::generate_bp_networks({}), {}));
+    topo::PocTopology& topology = topologies.back();
+    auto pool = market::make_offer_pool(topology);
+    topo::GravityOptions gopt;
+    gopt.total_gbps = 5000.0;
+    auto tm = topo::aggregate_top_n(topo::gravity_traffic(topology, gopt), 20);
+    Instance inst{"paper-20bp", 20, std::move(pool), std::move(tm), {}, false};
+    inst.oopt.fidelity = market::OracleFidelity::kFast;
     return inst;
 }
 
@@ -159,6 +177,7 @@ int main(int argc, char** argv) {
     instances.push_back(topology_instance(10, 14, 7003));
     instances.push_back(exact_instance(10, 7101));
     instances.push_back(exact_instance(12, 7102));
+    instances.push_back(paper_instance());
 
     std::vector<Row> rows;
     bool all_identical = true;

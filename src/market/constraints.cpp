@@ -1,6 +1,7 @@
 #include "market/constraints.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <span>
 
@@ -123,13 +124,6 @@ bool AcceptabilityOracle::accepts_exact(const net::Subgraph& sg) const {
     return false;
 }
 
-bool AcceptabilityOracle::footprint_kept(const net::Subgraph& sg,
-                                         const OracleWitness* witness) const {
-    if (witness == nullptr || witness->armed_by_ != this) return false;
-    return std::all_of(witness->footprint_.begin(), witness->footprint_.end(),
-                       [&](net::LinkId l) { return sg.is_active(l); });
-}
-
 bool AcceptabilityOracle::node_cut(const net::ActiveAdjacency& incidence,
                                    double utilization_cap) const {
     // Greedy places flow on simple paths, so each unit of a demand
@@ -162,20 +156,37 @@ bool AcceptabilityOracle::screen_and_route(const net::Subgraph& sg,
     return true;
 }
 
+bool AcceptabilityOracle::plan_run(const net::Subgraph& sg, OracleWitness* witness,
+                                   std::size_t run, bool resumable,
+                                   net::GreedyRoutingOptions& gopt) const {
+    gopt.log = nullptr;
+    gopt.resume = nullptr;
+    gopt.resume_demands = 0;
+    if (witness == nullptr) return false;
+    OracleWitness::Run& r = witness->runs_[run];
+    gopt.log = &r.next;
+    if (!resumable) return false;
+    const std::size_t intact = r.armed.intact_demands(sg);
+    if (intact == r.armed.demands.size()) return true;
+    gopt.resume = &r.armed;
+    gopt.resume_demands = intact;
+    return false;
+}
+
 bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg, OracleWitness* witness) const {
     // Each evaluation bumps exactly one verdict counter: the screen that
-    // rejected it, certified_accepts, or greedy_accepts. A certified
-    // accept replaces only the greedy runs; every other screen still
-    // runs on `sg`. A query that routes builds `sg`'s incidence once,
-    // and the node-cut screen and every greedy run scan it.
-    bool certified = footprint_kept(sg, witness);
+    // rejected it, certified_accepts (every greedy run was the armed
+    // one), or greedy_accepts. A certified run replaces only a greedy
+    // run; every other screen still runs on `sg`. A query that routes
+    // builds `sg`'s incidence once, and the node-cut screen and every
+    // greedy run scan it.
+    const bool armed = witness != nullptr && witness->armed_by_ == this;
     net::GreedyWorkspace local;
     net::GreedyRoutingOptions gopt;
     gopt.workspace = witness != nullptr ? &witness->greedy_ : &local;
-    if (witness != nullptr) {
-        witness->scratch_.clear();
-        gopt.footprint = &witness->scratch_;
-    }
+    // The greedy runs that routed: their new logs replace the armed
+    // ones on accept.
+    std::array<bool, 2> routed{};
     net::CommodityExclusions primaries;
     switch (kind_) {
         case ConstraintKind::kLoad: {
@@ -183,7 +194,10 @@ bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg, OracleWitness* w
             // successful greedy routing already proves it for all
             // demands it had to place, so only the rest are screened,
             // and only after greedy succeeds.
-            if (!certified && !screen_and_route(sg, gopt)) return false;
+            if (!plan_run(sg, witness, 0, armed, gopt)) {
+                if (!screen_and_route(sg, gopt)) return false;
+                routed[0] = true;
+            }
             if (!unproven_by_greedy_.empty() &&
                 !net::all_pairs_connected(sg, unproven_by_greedy_)) {
                 POC_OBS_INC("market.oracle.connectivity_rejects");
@@ -204,7 +218,10 @@ bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg, OracleWitness* w
             // (b) The matrix must fit with protection headroom: every
             //     link derated to `fast_failure_derate` of capacity.
             gopt.utilization_cap = opt_.fast_failure_derate;
-            if (!certified && !screen_and_route(sg, gopt)) return false;
+            if (!plan_run(sg, witness, 0, armed, gopt)) {
+                if (!screen_and_route(sg, gopt)) return false;
+                routed[0] = true;
+            }
             break;
         }
         case ConstraintKind::kPerPairFailure: {
@@ -215,33 +232,37 @@ bool AcceptabilityOracle::accepts_fast(const net::Subgraph& sg, OracleWitness* w
                 return false;
             }
             primaries = net::primary_paths(sg, tm_, opt_.path_cache);
-            // The second greedy run excludes the primaries, so the
-            // footprint speaks for it only while they are unchanged.
-            certified = certified && primaries == witness->primaries_;
-            if (!certified) {
+            if (!plan_run(sg, witness, 0, armed, gopt)) {
                 if (!screen_and_route(sg, gopt)) return false;
-                // The second run reuses the incidence the first built.
-                gopt.exclusions = &primaries;
+                routed[0] = true;
+            }
+            // The second run excludes the primaries, so the armed log
+            // speaks for it only while they are unchanged.
+            gopt.exclusions = &primaries;
+            if (!plan_run(sg, witness, 1, armed && primaries == witness->primaries_, gopt)) {
+                // It scans the incidence the first run built, if any.
+                if (!routed[0]) gopt.workspace->incidence.assign(sg);
                 if (!net::greedy_path_routing(sg, tm_, gopt).has_value()) {
                     POC_OBS_INC("market.oracle.greedy_rejects");
                     return false;
                 }
+                routed[1] = true;
             }
             break;
         }
     }
-    if (certified) {
+    if (!routed[0] && !routed[1]) {
         POC_OBS_INC("market.oracle.certified_accepts");
         return true;
     }
     POC_OBS_INC("market.oracle.greedy_accepts");
     if (witness != nullptr) {
-        // Arm with this run's footprint; the sets the pass asks about
-        // next are all subsets of `sg`.
-        std::vector<net::LinkId>& f = witness->scratch_;
-        std::sort(f.begin(), f.end());
-        f.erase(std::unique(f.begin(), f.end()), f.end());
-        witness->footprint_.swap(f);
+        // Re-arm with the runs that routed; a certified run's armed log
+        // already describes its run over `sg`. The sets the pass asks
+        // about next are all subsets of `sg`.
+        for (std::size_t run = 0; run < routed.size(); ++run) {
+            if (routed[run]) std::swap(witness->runs_[run].armed, witness->runs_[run].next);
+        }
         witness->primaries_ = std::move(primaries);
         witness->armed_by_ = this;
     }

@@ -7,6 +7,7 @@
 // surrogates and validate the final selection exhaustively.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -61,18 +62,22 @@ struct OracleOptions {
 class Oracle;
 
 /// What one winner-determination deletion pass carries from query to
-/// query so the kFast oracle can accept without routing (DESIGN.md §6).
-/// A full evaluation that accepts arms it with the footprint of its
-/// greedy run: every link of every path a shortest-path search returned.
-/// A later query whose active set still holds the whole footprint is
-/// then the same greedy run, so it accepts.
+/// query so the kFast oracle routes only what a deletion changed
+/// (DESIGN.md §6). A full evaluation that accepts arms it with the log
+/// of each of its greedy runs: per demand, in placement order, the
+/// placements and the footprint segment (every link of every path its
+/// searches returned). A later run over a set that keeps the first j
+/// demands' segments replays those j placements and searches from
+/// demand j on; when the set keeps every segment, the run is the armed
+/// one and accepts without routing.
 ///
 /// That holds only for subsets of the set that armed the witness. The
 /// caller promises it: a pass only deletes links, and restores exactly
 /// the batches that were rejected. A witness belongs to one pass on one
-/// thread. A reject leaves it as it is; an accept the oracle did not
-/// evaluate (a memo hit) disarms it. It also carries the pass's greedy
-/// scratch, so the pass's greedy runs reuse one set of buffers.
+/// thread. An accept re-arms it with the new logs; a reject leaves it
+/// as it is; an accept the oracle did not evaluate (a memo hit) disarms
+/// it. It also carries the pass's greedy scratch, so the pass's greedy
+/// runs reuse one set of buffers.
 class OracleWitness {
 public:
     bool armed() const noexcept { return armed_by_ != nullptr; }
@@ -81,14 +86,20 @@ public:
 private:
     friend class AcceptabilityOracle;
 
-    /// The oracle whose greedy run the footprint describes.
+    /// One greedy run of an evaluation: the armed run's log, and the
+    /// buffer a re-run logs into, swapped in when the query accepts.
+    struct Run {
+        net::GreedyLog armed;
+        net::GreedyLog next;
+    };
+
+    /// The oracle whose greedy runs the logs describe.
     const Oracle* armed_by_ = nullptr;
-    /// Sorted, duplicate-free link ids.
-    std::vector<net::LinkId> footprint_;
+    /// An evaluation's greedy runs: one, or kPerPairFailure's two (the
+    /// plain run, then the run excluding the primaries).
+    std::array<Run, 2> runs_;
     /// kPerPairFailure: the primary paths the armed run excluded.
     net::CommodityExclusions primaries_;
-    /// Where a full evaluation collects its footprint before it arms.
-    std::vector<net::LinkId> scratch_;
     /// The pass's greedy scratch and the queried set's incidence.
     net::GreedyWorkspace greedy_;
 };
@@ -181,9 +192,13 @@ private:
     bool accepts_witnessed(const net::Subgraph& sg, OracleWitness& witness) const override;
     bool accepts_fast(const net::Subgraph& sg, OracleWitness* witness) const;
     bool accepts_exact(const net::Subgraph& sg) const;
-    /// True when `witness` was armed by this oracle and `sg` keeps every
-    /// link of its footprint.
-    bool footprint_kept(const net::Subgraph& sg, const OracleWitness* witness) const;
+    /// Points `gopt` at greedy run `run` of `witness` (none without
+    /// one): the run logs into the spare buffer and, when `resumable`
+    /// (the armed run had the same inputs), replays the armed log's
+    /// intact prefix. True when that prefix is the whole armed run: the
+    /// run over `sg` is that run, so it accepts without routing.
+    bool plan_run(const net::Subgraph& sg, OracleWitness* witness, std::size_t run,
+                  bool resumable, net::GreedyRoutingOptions& gopt) const;
     /// True when some node's demand exceeds its active capacity at
     /// `utilization_cap`, so greedy routing must fail. `incidence` is
     /// the queried set's, built from exactly that set.

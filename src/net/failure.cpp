@@ -7,19 +7,35 @@
 
 namespace poc::net {
 
-bool satisfies_load(const Subgraph& sg, const TrafficMatrix& tm, double fptas_eps) {
+namespace {
+
+/// satisfies_load with greedy running in `ws`, its incidence rebuilt
+/// for `sg`: the same verdict, and no allocation once `ws` is warm.
+bool load_fits(const Subgraph& sg, const TrafficMatrix& tm, double fptas_eps,
+               GreedyWorkspace* ws) {
     if (!all_pairs_connected(sg, tm)) return false;
-    return is_routable(sg, tm, fptas_eps);
+    return is_routable(sg, tm, fptas_eps, nullptr, ws);
+}
+
+}  // namespace
+
+bool satisfies_load(const Subgraph& sg, const TrafficMatrix& tm, double fptas_eps) {
+    return load_fits(sg, tm, fptas_eps, nullptr);
 }
 
 bool satisfies_single_failure(const Subgraph& sg, const TrafficMatrix& tm,
                               const ResilienceOptions& opt) {
-    if (!satisfies_load(sg, tm, opt.fptas_eps)) return false;
+    // One greedy workspace for the nominal run and every recheck.
+    GreedyWorkspace ws;
+    if (!load_fits(sg, tm, opt.fptas_eps, &ws)) return false;
 
     // Find a nominal feasible routing; links that carry no flow in it
     // can fail without consequence (the same routing remains valid), so
     // only loaded links need exhaustive rechecking.
-    auto nominal = greedy_path_routing(sg, tm);
+    ws.incidence.assign(sg);
+    GreedyRoutingOptions gopt;
+    gopt.workspace = &ws;
+    auto nominal = greedy_path_routing(sg, tm, gopt);
     std::vector<double> load;
     if (nominal) {
         load = nominal->link_load(sg.graph());
@@ -37,7 +53,7 @@ bool satisfies_single_failure(const Subgraph& sg, const TrafficMatrix& tm,
             continue;  // unloaded in the nominal routing: failure is free
         }
         work.set_active(lid, false);
-        const bool ok = satisfies_load(work, tm, opt.fptas_eps);
+        const bool ok = load_fits(work, tm, opt.fptas_eps, &ws);
         work.set_active(lid, true);
         if (!ok) return false;
     }
@@ -54,11 +70,12 @@ std::vector<std::vector<LinkId>> primary_paths(const Subgraph& sg, const Traffic
 
 bool satisfies_per_pair_failure(const Subgraph& sg, const TrafficMatrix& tm,
                                 const ResilienceOptions& opt) {
-    if (!satisfies_load(sg, tm, opt.fptas_eps)) return false;
+    GreedyWorkspace ws;
+    if (!load_fits(sg, tm, opt.fptas_eps, &ws)) return false;
     const CommodityExclusions primaries = primary_paths(sg, tm, opt.path_cache);
     // Every demand must still be routable (simultaneously) while its own
     // primary path's links are excluded for it.
-    return is_routable(sg, tm, opt.fptas_eps, &primaries);
+    return is_routable(sg, tm, opt.fptas_eps, &primaries, &ws);
 }
 
 }  // namespace poc::net

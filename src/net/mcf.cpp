@@ -4,8 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <utility>
 
-#include "net/ksp.hpp"
 #include "obs/metrics.hpp"
 
 namespace poc::net {
@@ -43,10 +44,30 @@ std::vector<double> CommodityRouting::link_load(const Graph& g) const {
     return load;
 }
 
+void GreedyLog::clear() {
+    footprint.clear();
+    path_links.clear();
+    placements.clear();
+    demands.clear();
+}
+
+std::size_t GreedyLog::intact_demands(const Subgraph& sg) const {
+    const auto lost = std::find_if(footprint.begin(), footprint.end(),
+                                   [&](LinkId l) { return !sg.is_active(l); });
+    if (lost == footprint.end()) return demands.size();
+    // The demands whose segments end at or before the lost link.
+    const auto at = static_cast<std::size_t>(lost - footprint.begin());
+    return static_cast<std::size_t>(
+        std::partition_point(demands.begin(), demands.end(),
+                             [&](const DemandEnd& e) { return e.footprint <= at; }) -
+        demands.begin());
+}
+
 std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const TrafficMatrix& tm,
                                                     const GreedyRoutingOptions& opt) {
     POC_EXPECTS(opt.utilization_cap > 0.0 && opt.utilization_cap <= 1.0);
     POC_EXPECTS(opt.exclusions == nullptr || opt.exclusions->size() == tm.size());
+    POC_EXPECTS(opt.log == nullptr || opt.footprint == nullptr);
     const Graph& g = sg.graph();
 
     // Place the biggest demands first: they are the hardest to fit.
@@ -101,18 +122,72 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
         refresh_weight(lid);
         if (residual[lid.index()] <= kEps) usable.set_active(lid, false);
     }
+    // Takes `gbps` off every link of a placed path.
+    const auto consume = [&](std::span<const LinkId> path, double gbps) {
+        for (const LinkId l : path) {
+            residual[l.index()] -= gbps;
+            refresh_weight(l);
+            if (residual[l.index()] <= kEps) usable.set_active(l, false);
+        }
+    };
 
     CommodityRouting routing;
     routing.routes.resize(tm.size());
+    GreedyLog* const log = opt.log;
+    std::vector<LinkId>* const footprint = log != nullptr ? &log->footprint : opt.footprint;
+    if (log != nullptr) log->clear();
 
-    std::vector<LinkId> excluded_undo;
-    std::vector<WeightedPath> candidates;
+    // Replay the resumed prefix: its placements, subtracted in the same
+    // order, leave residuals, weights and usable bit for bit as the
+    // searches that made them did (DESIGN.md §6).
+    std::size_t next = 0;
+    if (opt.resume != nullptr && opt.resume_demands > 0) {
+        const GreedyLog& from = *opt.resume;
+        POC_EXPECTS(&from != log);
+        POC_EXPECTS(opt.resume_demands <= from.demands.size());
+        const GreedyLog::DemandEnd prefix = from.demands[opt.resume_demands - 1];
+        std::size_t p = 0;
+        std::size_t links_begin = 0;
+        for (; next < opt.resume_demands; ++next) {
+            for (; p < from.demands[next].placements; ++p) {
+                const GreedyLog::Placement& placed = from.placements[p];
+                const std::span<const LinkId> path(from.path_links.data() + links_begin,
+                                                   placed.links_end - links_begin);
+                consume(path, placed.gbps);
+                routing.routes[order[next]].emplace_back(
+                    std::vector<LinkId>(path.begin(), path.end()), placed.gbps);
+                links_begin = placed.links_end;
+            }
+        }
+        const auto prefix_end = [](const auto& v, std::size_t n) {
+            return v.begin() + static_cast<std::ptrdiff_t>(n);
+        };
+        if (footprint != nullptr) {
+            footprint->insert(footprint->end(), from.footprint.begin(),
+                              prefix_end(from.footprint, prefix.footprint));
+        }
+        if (log != nullptr) {
+            log->path_links.assign(from.path_links.begin(),
+                                   prefix_end(from.path_links, links_begin));
+            log->placements.assign(from.placements.begin(), prefix_end(from.placements, p));
+            log->demands.assign(from.demands.begin(), prefix_end(from.demands, next));
+        }
+        POC_OBS_COUNT("net.greedy.replayed_demands", next);
+    }
 
-    for (const std::size_t di : order) {
+    const auto demand_done = [&] {
+        if (log != nullptr) log->demands.push_back({log->footprint.size(), log->placements.size()});
+    };
+    for (; next < order.size(); ++next) {
+        const std::size_t di = order[next];
         const Demand& d = tm[di];
-        if (!greedy_routes(d)) continue;
+        if (!greedy_routes(d)) {
+            demand_done();
+            continue;
+        }
         POC_EXPECTS(d.src != d.dst);
 
+        std::vector<LinkId>& excluded_undo = ws.excluded_undo;
         excluded_undo.clear();
         if (opt.exclusions != nullptr) {
             for (const LinkId lid : (*opt.exclusions)[di]) {
@@ -124,50 +199,64 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
         }
 
         // Lazy Yen: Yen's first path is the shortest path. When it can
-        // carry the whole demand, the placement loop below stops right
-        // after it, so the other candidates are computed only when it
-        // falls short — before any residual changes, so Yen sees the
-        // weights it would have seen had it run first.
-        candidates.clear();
-        if (auto first = shortest_path(usable, ws.incidence, d.src, d.dst, weight, ws.sssp)) {
-            if (opt.footprint != nullptr) {
-                opt.footprint->insert(opt.footprint->end(), first->links.begin(),
-                                      first->links.end());
-            }
-            double first_bottleneck = d.gbps;
-            for (const LinkId l : first->links) {
-                first_bottleneck = std::min(first_bottleneck, residual[l.index()]);
-            }
-            if (first_bottleneck >= d.gbps) {
-                candidates.push_back(std::move(*first));
-            } else {
-                POC_OBS_INC("net.greedy.yen_fallbacks");
-                candidates = yen_k_shortest(usable, ws.incidence, d.src, d.dst, weight,
-                                            kGreedyPaths, ws.sssp, std::move(*first),
-                                            opt.footprint);
-            }
-        }
+        // carry the whole demand, the placement loop stops right after
+        // it. Otherwise Yen starts from a copy of the usable view, and
+        // each later candidate is found only when the loop reaches it
+        // with demand still unplaced, under the weights the demand
+        // started with: the placements' weight changes are swapped out
+        // around each step. So every candidate is the one Yen would have
+        // found had it run first.
         double remaining = d.gbps;
-        bool fits = true;
-        for (const WeightedPath& wp : candidates) {
-            if (remaining <= kEps) break;
+        bool fallback = false;
+        const auto place = [&](const WeightedPath& wp) {
             double bottleneck = remaining;
             for (const LinkId l : wp.links) {
                 bottleneck = std::min(bottleneck, residual[l.index()]);
             }
-            if (bottleneck <= kEps) continue;
-            for (const LinkId l : wp.links) {
-                residual[l.index()] -= bottleneck;
-                refresh_weight(l);
-                if (residual[l.index()] <= kEps) usable.set_active(l, false);
+            if (bottleneck <= kEps) return;
+            if (fallback) {
+                for (const LinkId l : wp.links) ws.weight_undo.emplace_back(l, weight[l.index()]);
             }
+            consume(wp.links, bottleneck);
             routing.routes[di].emplace_back(wp.links, bottleneck);
+            if (log != nullptr) {
+                log->path_links.insert(log->path_links.end(), wp.links.begin(), wp.links.end());
+                log->placements.push_back({log->path_links.size(), bottleneck});
+            }
             remaining -= bottleneck;
+        };
+        WeightedPath& first = ws.first;
+        if (shortest_path_into(usable, ws.incidence, d.src, d.dst, weight, ws.sssp, first)) {
+            if (footprint != nullptr) {
+                footprint->insert(footprint->end(), first.links.begin(), first.links.end());
+            }
+            double first_bottleneck = d.gbps;
+            for (const LinkId l : first.links) {
+                first_bottleneck = std::min(first_bottleneck, residual[l.index()]);
+            }
+            fallback = !(first_bottleneck >= d.gbps);
+            if (fallback) {
+                POC_OBS_INC("net.greedy.yen_fallbacks");
+                ws.yen.reset(usable, ws.incidence, d.src, d.dst, first);
+                ws.weight_undo.clear();
+            }
+            place(first);
+            for (std::size_t i = 1; fallback && !(remaining <= kEps) && i < kGreedyPaths; ++i) {
+                auto& undo = ws.weight_undo;
+                for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+                    std::swap(weight[it->first.index()], it->second);
+                }
+                POC_OBS_INC("net.greedy.yen_steps");
+                const bool found = ws.yen.advance(weight, ws.sssp, footprint);
+                for (auto& [l, w] : undo) std::swap(weight[l.index()], w);
+                if (!found) break;
+                place(ws.yen.path(i));
+            }
         }
-        if (exceeds_fit_tolerance(remaining, d.gbps)) fits = false;
 
         for (const LinkId lid : excluded_undo) usable.set_active(lid, true);
-        if (!fits) return std::nullopt;
+        if (exceeds_fit_tolerance(remaining, d.gbps)) return std::nullopt;
+        demand_done();
     }
     return routing;
 }
@@ -288,10 +377,14 @@ ConcurrentFlowResult max_concurrent_flow(const Subgraph& sg, const TrafficMatrix
 }
 
 bool is_routable(const Subgraph& sg, const TrafficMatrix& tm, double fptas_eps,
-                 const CommodityExclusions* exclusions) {
+                 const CommodityExclusions* exclusions, GreedyWorkspace* workspace) {
     if (tm.empty()) return true;
     GreedyRoutingOptions greedy_opt;
     greedy_opt.exclusions = exclusions;
+    if (workspace != nullptr) {
+        workspace->incidence.assign(sg);
+        greedy_opt.workspace = workspace;
+    }
     if (greedy_path_routing(sg, tm, greedy_opt)) return true;
     return max_concurrent_flow(sg, tm, fptas_eps, exclusions).lambda >= 1.0;
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "net/graph.hpp"
+#include "net/ksp.hpp"
 #include "net/shortest_path.hpp"
 
 namespace poc::net {
@@ -56,6 +57,49 @@ struct GreedyWorkspace {
     LinkWeightArray weight;
     std::optional<Subgraph> usable;
     SsspWorkspace sssp;
+    /// Per-demand scratch: the shortest path, Yen's later candidates,
+    /// the (link, weight) pairs the demand's placements overwrote, and
+    /// the excluded links to restore.
+    WeightedPath first;
+    YenPaths yen;
+    std::vector<std::pair<LinkId, double>> weight_undo;
+    std::vector<LinkId> excluded_undo;
+};
+
+/// One greedy run, demand by demand in placement order (largest first,
+/// skipped demands included): what a later run over a subset of its
+/// set replays instead of searching (DESIGN.md §6).
+struct GreedyLog {
+    /// A placed path: path_links[the previous placement's links_end,
+    /// links_end) carrying `gbps`.
+    struct Placement {
+        std::size_t links_end = 0;
+        double gbps = 0.0;
+        bool operator==(const Placement&) const = default;
+    };
+    /// Where one demand's entries end in `footprint` and `placements`.
+    struct DemandEnd {
+        std::size_t footprint = 0;
+        std::size_t placements = 0;
+        bool operator==(const DemandEnd&) const = default;
+    };
+
+    /// The run's footprint, in search order (as GreedyRoutingOptions::
+    /// footprint collects it), so each demand's searches form a segment.
+    std::vector<LinkId> footprint;
+    std::vector<LinkId> path_links;
+    std::vector<Placement> placements;
+    /// One entry per demand the run finished, in placement order.
+    std::vector<DemandEnd> demands;
+
+    void clear();
+
+    /// How many of the logged demands come before the first whose
+    /// footprint segment lost a link in `sg`: a run over `sg` may replay
+    /// that many. demands.size() when `sg` keeps the whole footprint.
+    std::size_t intact_demands(const Subgraph& sg) const;
+
+    bool operator==(const GreedyLog&) const = default;
 };
 
 struct GreedyRoutingOptions {
@@ -65,15 +109,28 @@ struct GreedyRoutingOptions {
     const CommodityExclusions* exclusions = nullptr;
     /// Optional output: the run's footprint. Every link of every path a
     /// shortest-path search returned is appended (duplicates included):
-    /// each demand's first path and every Yen spur path, also those of
-    /// candidates the placement never used. Removing links outside the
-    /// footprint leaves the run unchanged (DESIGN.md §6), which is what
-    /// the acceptability oracle's certificate rests on.
+    /// each demand's first path and the spur paths of every Yen step the
+    /// run took, also those of candidates the placement never used.
+    /// Removing links outside the footprint leaves the run unchanged
+    /// (DESIGN.md §6), which is what the acceptability oracle's
+    /// certificate rests on.
     std::vector<LinkId>* footprint = nullptr;
     /// Optional scratch reused across runs, its incidence already built
     /// (see GreedyWorkspace). Null: a local workspace, built from `sg`.
     /// The routing is the same either way.
     GreedyWorkspace* workspace = nullptr;
+    /// Optional output: the run's log (cleared first), up to the demand
+    /// that did not fit. It collects the footprint too, so a run takes
+    /// `footprint` or `log`, not both.
+    GreedyLog* log = nullptr;
+    /// Optional input: replay the first `resume_demands` demands of
+    /// `resume` (not `log`) instead of searching for them. `resume` must
+    /// log a run with the same traffic matrix, cap and exclusions over a
+    /// set that contains `sg`, and `sg` must keep those demands'
+    /// footprint segments (resume_demands <= resume->intact_demands(sg)).
+    /// The routing, footprint and log are then those of a full run.
+    const GreedyLog* resume = nullptr;
+    std::size_t resume_demands = 0;
 };
 
 /// Water-filling over up to 4 Yen candidate paths per demand, demands
@@ -83,10 +140,10 @@ struct GreedyRoutingOptions {
 ///
 /// Work is proportional to what the result reads: the metric lives in a
 /// flat per-link array refreshed only on links a placement touched, and
-/// Yen runs past its first path only for a demand whose shortest path
-/// cannot carry it alone (when it can, the candidate loop would stop
-/// after that path anyway). The routing is the same as computing all
-/// four candidates per demand under a per-relaxation weight function.
+/// Yen finds candidate i + 1 only when the placement loop reaches it
+/// with demand still unplaced, under the weights the demand started
+/// with. The routing is the same as computing all four candidates per
+/// demand under a per-relaxation weight function.
 std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const TrafficMatrix& tm,
                                                     const GreedyRoutingOptions& opt = {});
 
@@ -122,8 +179,11 @@ ConcurrentFlowResult max_concurrent_flow(const Subgraph& sg, const TrafficMatrix
                                          const CommodityExclusions* exclusions = nullptr);
 
 /// Combined feasibility oracle: greedy first, FPTAS fallback.
-/// `fptas_eps` controls the fallback's precision/speed trade-off.
+/// `fptas_eps` controls the fallback's precision/speed trade-off. With
+/// a `workspace`, greedy builds sg's incidence into it and runs there,
+/// reusing its buffers; the verdict is the same.
 bool is_routable(const Subgraph& sg, const TrafficMatrix& tm, double fptas_eps = 0.15,
-                 const CommodityExclusions* exclusions = nullptr);
+                 const CommodityExclusions* exclusions = nullptr,
+                 GreedyWorkspace* workspace = nullptr);
 
 }  // namespace poc::net

@@ -318,9 +318,21 @@ std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId
 std::optional<WeightedPath> shortest_path(const Subgraph& sg, const ActiveAdjacency& incidence,
                                           NodeId src, NodeId dst, const LinkWeightArray& weight,
                                           SsspWorkspace& ws) {
+    WeightedPath wp;
+    if (!shortest_path_into(sg, incidence, src, dst, weight, ws, wp)) return std::nullopt;
+    return wp;
+}
+
+bool shortest_path_into(const Subgraph& sg, const ActiveAdjacency& incidence, NodeId src,
+                        NodeId dst, const LinkWeightArray& weight, SsspWorkspace& ws,
+                        WeightedPath& out) {
     POC_EXPECTS(incidence.graph() == &sg.graph());
     POC_EXPECTS(weight.size() == sg.graph().link_count());
-    return search_path(sg, incidence, src, dst, ArrayWeight{weight}, ws);
+    detail::run_dijkstra(sg, incidence, src, ArrayWeight{weight}, ws, dst);
+    if (!ws.reachable(dst)) return false;
+    ws.append_path_to(dst, out.links);
+    out.weight = ws.dist(dst);
+    return true;
 }
 
 std::vector<NodeId> path_nodes(const Graph& g, NodeId src, const std::vector<LinkId>& links) {

@@ -214,6 +214,13 @@ std::optional<WeightedPath> shortest_path(const Subgraph& sg, const ActiveAdjace
                                           NodeId src, NodeId dst, const LinkWeightArray& weight,
                                           SsspWorkspace& ws);
 
+/// The flat-weight shortest_path into `out`, whose link buffer is
+/// reused: no allocation once it has capacity. False, with `out`
+/// unchanged, when dst is unreachable.
+bool shortest_path_into(const Subgraph& sg, const ActiveAdjacency& incidence, NodeId src,
+                        NodeId dst, const LinkWeightArray& weight, SsspWorkspace& ws,
+                        WeightedPath& out);
+
 /// The node sequence visited by a path starting at `src`. Requires the
 /// links to form a connected walk from src.
 std::vector<NodeId> path_nodes(const Graph& g, NodeId src, const std::vector<LinkId>& links);

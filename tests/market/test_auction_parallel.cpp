@@ -8,6 +8,7 @@
 // thread count too.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -238,6 +239,51 @@ TEST(ParallelPivotWork, PaperTopologyCountsTheSameAtEveryWidth) {
     gopt.total_gbps = 5000.0;
     const auto tm = topo::aggregate_top_n(topo::gravity_traffic(topology, gopt), 20);
     expect_same_work_at_every_width(pool, tm, OracleFidelity::kFast, 50);
+}
+
+TEST(GreedyWork, YenStepsAndReplaysCountTheSameAtEveryWidth) {
+    // Greedy's work counters on the paper-scale instance: each pivot's
+    // deletion pass carries its own witness over a memo overlay that
+    // only the winner solve filled, so the Yen steps taken and the
+    // demands replayed do not depend on how the pivots are scheduled.
+    topo::PocTopology topology =
+        topo::build_poc_topology(topo::generate_bp_networks({}), {});
+    const OfferPool pool = make_offer_pool(topology);
+    topo::GravityOptions gopt;
+    gopt.total_gbps = 5000.0;
+    const auto tm = topo::aggregate_top_n(topo::gravity_traffic(topology, gopt), 20);
+    const obs::Counter& steps = obs::registry().counter("net.greedy.yen_steps");
+    const obs::Counter& replayed = obs::registry().counter("net.greedy.replayed_demands");
+    const obs::Counter& searches = obs::registry().counter("net.sssp.runs");
+    const auto work = [&](std::size_t threads, bool cached) {
+        MemoRun run;
+        const std::uint64_t steps_before = steps.value();
+        const std::uint64_t replayed_before = replayed.value();
+        const std::uint64_t searches_before = searches.value();
+        if (cached) {
+            run_with_memo(run, pool, tm, OracleFidelity::kFast, threads);
+        } else {
+            OracleOptions oopt;
+            oopt.fidelity = OracleFidelity::kFast;
+            const AcceptabilityOracle oracle(pool.graph(), tm, ConstraintKind::kLoad, oopt);
+            AuctionOptions opt;
+            opt.threads = threads;
+            run.result = run_auction(pool, oracle, opt);
+        }
+        EXPECT_TRUE(run.result.has_value());
+        return std::array<std::uint64_t, 3>{steps.value() - steps_before,
+                                            replayed.value() - replayed_before,
+                                            searches.value() - searches_before};
+    };
+    for (const bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "cached" : "uncached");
+        const auto serial = work(1, cached);
+#if POC_OBS_ENABLED
+        EXPECT_GT(serial[0], 0u);
+        EXPECT_GT(serial[1], 0u);
+#endif
+        for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(work(4, cached), serial);
+    }
 }
 
 TEST(ParallelPivotWidth, MemoAnsweredWarmAuctionStartsNoThread) {

@@ -382,6 +382,53 @@ TEST(OracleIdentity, CertifiedVerdictsMatchFullEvaluation) {
     }
 }
 
+TEST(OracleIdentity, ChangedPrimariesRerouteTheExcludedRunInFull) {
+    // A witness replays kPerPairFailure's excluded run only while the
+    // primaries equal the armed run's. Demand 0 -> 3: link 0 is the
+    // direct hop (length 3, greedy weight 4), links 1-3 the short chain
+    // 0-1-2-3 (length 1.5, greedy weight 4.5), links 4-5 an optional
+    // long detour through node 4. Over every link the primary is the
+    // chain, and both greedy runs route over link 0, so each run's
+    // footprint is link 0 alone. Cutting link 1 keeps that footprint but
+    // makes link 0 the primary: replaying the armed excluded run would
+    // accept; routing it in full finds only the detour, or nothing.
+    for (const bool detour : {false, true}) {
+        net::Graph g;
+        g.add_nodes(5);
+        g.add_link(net::NodeId{0u}, net::NodeId{3u}, 10.0, 3.0);
+        g.add_link(net::NodeId{0u}, net::NodeId{1u}, 10.0, 0.5);
+        g.add_link(net::NodeId{1u}, net::NodeId{2u}, 10.0, 0.5);
+        g.add_link(net::NodeId{2u}, net::NodeId{3u}, 10.0, 0.5);
+        g.add_link(net::NodeId{0u}, net::NodeId{4u}, 10.0, 5.0);
+        g.add_link(net::NodeId{4u}, net::NodeId{3u}, 10.0, 5.0);
+        const net::TrafficMatrix tm = {{net::NodeId{0u}, net::NodeId{3u}, 5.0}};
+        OracleOptions opt;
+        opt.fidelity = OracleFidelity::kFast;
+        const AcceptabilityOracle oracle(g, tm, ConstraintKind::kPerPairFailure, opt);
+
+        net::Subgraph sg(g);
+        if (!detour) {
+            sg.set_active(net::LinkId{4u}, false);
+            sg.set_active(net::LinkId{5u}, false);
+        }
+        OracleWitness witness;
+        ASSERT_TRUE(oracle.accepts(sg, &witness));
+        ASSERT_TRUE(witness.armed());
+        sg.set_active(net::LinkId{1u}, false);
+        const bool want =
+            full_evaluation_reference(sg, tm, ConstraintKind::kPerPairFailure, 1.0);
+        EXPECT_EQ(want, detour);
+        EXPECT_EQ(oracle.accepts(sg, &witness), want) << "detour " << detour;
+        if (!want) continue;
+        // The accept re-armed the witness with the detour run: cutting
+        // the detour now changes no primary, so the excluded run resumes
+        // and fails at the first demand.
+        sg.set_active(net::LinkId{5u}, false);
+        EXPECT_FALSE(oracle.accepts(sg, &witness));
+        EXPECT_FALSE(full_evaluation_reference(sg, tm, ConstraintKind::kPerPairFailure, 1.0));
+    }
+}
+
 #if POC_OBS_ENABLED
 std::uint64_t counter(const char* name) {
     for (const auto& c : obs::registry().counter_samples()) {

@@ -217,5 +217,97 @@ TEST(GreedyRouting, FootprintPinsTheRun) {
     EXPECT_GT(pinned_rejects, 20);
 }
 
+TEST(GreedyRouting, ResumeAtEveryDemandEqualsFullRun) {
+    // A run over a subset of a logged run's set that replays any intact
+    // prefix of the log is the full run over the subset: the same
+    // verdict, routes, footprint and log. Tie-heavy multigraphs, demands
+    // above one link's capacity (so Yen steps run), a utilization cap
+    // below 1 in some rounds and per-demand exclusions in others; the
+    // subset is sometimes the logged set itself, and some logs are of
+    // runs that failed part way.
+    util::Rng rng(331);
+    int resumed_accepts = 0;
+    int resumed_rejects = 0;
+    int broken_prefixes = 0;
+    for (int round = 0; round < 200; ++round) {
+        const auto n = 4 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{5}));
+        Graph g;
+        g.add_nodes(n);
+        for (std::size_t e = 0; e < 2 * n; ++e) {
+            const auto a = e < n - 1 ? e : static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+            auto b = e < n - 1 ? e + 1 : static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+            if (a == b) b = (b + 1) % n;
+            const auto parallel = 1 + rng.uniform_int(std::uint64_t{3});
+            for (std::uint64_t k = 0; k < parallel; ++k) {
+                g.add_link(NodeId{a}, NodeId{b}, 10.0, 1.0);
+            }
+        }
+        TrafficMatrix tm;
+        for (int d = 0; d < 5; ++d) {
+            const auto s = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+            const auto t = (s + 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n - 1}))) % n;
+            tm.push_back({NodeId{s}, NodeId{t}, d == 4 ? 0.0 : rng.uniform(2.0, 18.0)});
+        }
+        GreedyRoutingOptions opt;
+        if (round % 3 == 1) opt.utilization_cap = 0.7;
+        CommodityExclusions exclusions(tm.size());
+        if (round % 3 == 2) {
+            for (auto& excluded : exclusions) {
+                excluded.push_back(LinkId{static_cast<std::size_t>(
+                    rng.uniform_int(std::uint64_t{g.link_count()}))});
+            }
+            opt.exclusions = &exclusions;
+        }
+        Subgraph sg(g);
+        for (const LinkId l : g.all_links()) {
+            if (rng.bernoulli(0.1)) sg.set_active(l, false);
+        }
+        GreedyLog log;
+        opt.log = &log;
+        (void)greedy_path_routing(sg, tm, opt);
+
+        Subgraph smaller = sg;
+        if (round % 4 != 0) {
+            for (const LinkId l : sg.active_links()) {
+                if (rng.bernoulli(0.1)) smaller.set_active(l, false);
+            }
+        }
+        const std::size_t intact = log.intact_demands(smaller);
+        ASSERT_LE(intact, log.demands.size());
+        if (intact < log.demands.size()) ++broken_prefixes;
+
+        GreedyLog want_log;
+        opt.log = &want_log;
+        const auto want = greedy_path_routing(smaller, tm, opt);
+        // A log collects the footprint a run without one reports.
+        std::vector<LinkId> footprint;
+        GreedyRoutingOptions unlogged = opt;
+        unlogged.log = nullptr;
+        unlogged.footprint = &footprint;
+        ASSERT_EQ(greedy_path_routing(smaller, tm, unlogged).has_value(), want.has_value());
+        EXPECT_EQ(footprint, want_log.footprint) << "round " << round;
+        for (std::size_t j = 0; j <= intact; ++j) {
+            GreedyLog got_log;
+            opt.log = &got_log;
+            opt.resume = &log;
+            opt.resume_demands = j;
+            const auto got = greedy_path_routing(smaller, tm, opt);
+            ASSERT_EQ(got.has_value(), want.has_value()) << "round " << round << " j " << j;
+            if (want) {
+                EXPECT_EQ(got->routes, want->routes) << "round " << round << " j " << j;
+            }
+            // The logs hold the footprints.
+            EXPECT_EQ(got_log.footprint, want_log.footprint) << "round " << round << " j " << j;
+            EXPECT_EQ(got_log, want_log) << "round " << round << " j " << j;
+            if (j > 0) ++(want ? resumed_accepts : resumed_rejects);
+        }
+        opt.resume = nullptr;
+        opt.resume_demands = 0;
+    }
+    EXPECT_GT(resumed_accepts, 100);
+    EXPECT_GT(resumed_rejects, 20);
+    EXPECT_GT(broken_prefixes, 50);
+}
+
 }  // namespace
 }  // namespace poc::net
