@@ -8,29 +8,28 @@
 
 namespace poc::core {
 
-FlowReport simulate_flows_primary(const net::Subgraph& backbone,
-                                  const net::TrafficMatrixSoA& tm_soa,
-                                  double total_offered_gbps,
-                                  const std::vector<bool>& is_virtual,
-                                  const FlowSimOptions& opt, net::ShardWorkspace& ws) {
-    const net::Graph& g = backbone.graph();
-    POC_EXPECTS(is_virtual.empty() || is_virtual.size() == g.link_count());
+namespace {
 
-    POC_OBS_SPAN("core.simulate_flows");
-    POC_OBS_INC("core.flows.runs");
+/// The kPrimary data plane: every demand on its shortest path, through
+/// the sharded pass (net/shard.hpp) run as one shard on the calling
+/// thread. Its report is the same at any width, and no measured
+/// workload has shown a wider pass to be faster (DESIGN.md §9).
+FlowReport simulate_flows_primary(const net::Subgraph& backbone, const net::TrafficMatrix& tm,
+                                  const std::vector<bool>& is_virtual,
+                                  const FlowSimOptions& opt, FlowWorkspace& ws) {
+    const net::Graph& g = backbone.graph();
+    ws.tm_soa.assign(tm);
 
     net::ShardOptions shard_opt;
     shard_opt.metric = net::SsspMetric::kLength;
-    shard_opt.shards = opt.flow_shards;
-    shard_opt.threads = opt.flow_threads;
     shard_opt.cache = opt.path_cache;
     shard_opt.is_virtual = is_virtual.empty() ? nullptr : &is_virtual;
 
     net::ShardFlowResult flows;
-    net::sharded_primary_flow(backbone, tm_soa, shard_opt, ws, flows);
+    net::sharded_primary_flow(backbone, ws.tm_soa, shard_opt, ws.shards, flows);
 
     FlowReport report;
-    report.total_offered_gbps = total_offered_gbps;
+    report.total_offered_gbps = net::total_demand(tm);
     report.total_routed_gbps = flows.routed_gbps;
     // Under primary-path routing a demand either rides its shortest
     // path whole or (disconnected) not at all, so "fully routed" is
@@ -38,7 +37,7 @@ FlowReport simulate_flows_primary(const net::Subgraph& backbone,
     report.fully_routed = flows.unrouted == 0;
     report.link_load_gbps = std::move(flows.link_load_gbps);
 
-    POC_OBS_COUNT("core.flows.demands_offered", tm_soa.size());
+    POC_OBS_COUNT("core.flows.demands_offered", tm.size());
     POC_OBS_COUNT("core.flows.demands_admitted", flows.admitted);
     if (report.fully_routed) POC_OBS_INC("core.flows.fully_routed");
     POC_OBS_HISTOGRAM("core.flows.routed_gbps", 0.0, 10000.0, 50, report.total_routed_gbps);
@@ -70,25 +69,29 @@ FlowReport simulate_flows_primary(const net::Subgraph& backbone,
     return report;
 }
 
+}  // namespace
+
 FlowReport simulate_flows(const net::Subgraph& backbone, const net::TrafficMatrix& tm,
                           const std::vector<bool>& is_virtual, const FlowSimOptions& opt) {
     const net::Graph& g = backbone.graph();
     POC_EXPECTS(is_virtual.empty() || is_virtual.size() == g.link_count());
 
-    if (opt.routing == FlowRouting::kPrimary) {
-        const net::TrafficMatrixSoA tm_soa(tm);
-        net::ShardWorkspace ws;
-        return simulate_flows_primary(backbone, tm_soa, net::total_demand(tm), is_virtual, opt,
-                                      ws);
-    }
-
     POC_OBS_SPAN("core.simulate_flows");
     POC_OBS_INC("core.flows.runs");
+    FlowWorkspace local;
+    FlowWorkspace& ws = opt.workspace != nullptr ? *opt.workspace : local;
+    if (opt.routing == FlowRouting::kPrimary) {
+        return simulate_flows_primary(backbone, tm, is_virtual, opt, ws);
+    }
+
     FlowReport report;
     report.total_offered_gbps = net::total_demand(tm);
     report.link_load_gbps.assign(g.link_count(), 0.0);
 
-    auto routing = net::greedy_path_routing(backbone, tm);
+    ws.greedy.incidence.assign(backbone);
+    net::GreedyRoutingOptions greedy_opt;
+    greedy_opt.workspace = &ws.greedy;
+    auto routing = net::greedy_path_routing(backbone, tm, greedy_opt);
     if (!routing) {
         // Fall back to the concurrent-flow routing. Its routes carry
         // lambda_j * d_j per demand; cap each demand at its offered

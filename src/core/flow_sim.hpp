@@ -15,7 +15,7 @@ namespace poc::core {
 
 /// Which data plane routes an epoch's traffic. This is a *semantic*
 /// choice — the two modes route demands differently and produce
-/// different reports — so unlike the engine knobs below it is part of
+/// different reports — so unlike the other options below it is part of
 /// the journal meta fingerprint (sim/replay.cpp).
 enum class FlowRouting : std::uint8_t {
     /// The seed behavior: greedy capacity-aware water-filling with a
@@ -29,9 +29,18 @@ enum class FlowRouting : std::uint8_t {
     kPrimary = 1,
 };
 
-/// Data-plane fast-path knobs (DESIGN.md §6/§9). The defaults
-/// reproduce the plain serial behavior; every setting other than
-/// `routing` is bit-identical to it.
+/// Scratch a sequence of flow passes reuses (sim::Engine keeps one per
+/// run): greedy's workspace under kGreedy, the source-sorted matrix and
+/// the per-shard buffers under kPrimary. Any graph and matrix may follow
+/// any other; nothing a pass leaves here reaches the next one's report.
+struct FlowWorkspace {
+    net::GreedyWorkspace greedy;
+    net::TrafficMatrixSoA tm_soa;
+    net::ShardWorkspace shards;
+};
+
+/// Data-plane options (DESIGN.md §6/§9). Every setting other than
+/// `routing` gives the same report as the defaults, bit for bit.
 struct FlowSimOptions {
     /// Shared shortest-path-tree cache for the per-source SSSP passes
     /// (stretch metric under kGreedy, the routing itself under
@@ -39,11 +48,8 @@ struct FlowSimOptions {
     net::PathCache* path_cache = nullptr;
     /// Data-plane selection (semantic; fingerprinted).
     FlowRouting routing = FlowRouting::kGreedy;
-    /// Shard tasks and threads for the kPrimary partition (engine
-    /// knobs: results are bit-identical for every value; ignored under
-    /// kGreedy).
-    std::size_t flow_shards = 1;
-    std::size_t flow_threads = 1;
+    /// Optional scratch reused across calls. Null: a local workspace.
+    FlowWorkspace* workspace = nullptr;
 };
 
 struct FlowReport {
@@ -68,24 +74,11 @@ struct FlowReport {
 };
 
 /// Route `tm` over the backbone and measure. `is_virtual` flags links
-/// that are external-ISP virtual links (may be empty if none).
+/// that are external-ISP virtual links (may be empty if none). Under
+/// kPrimary the sharded pass runs as one shard on the calling thread;
+/// the report is the same at any width (net/shard.hpp).
 FlowReport simulate_flows(const net::Subgraph& backbone, const net::TrafficMatrix& tm,
                           const std::vector<bool>& is_virtual = {},
                           const FlowSimOptions& opt = {});
-
-/// The kPrimary data plane with caller-owned storage: `tm_soa` is the
-/// source-sorted matrix (rebuild only when the matrix changes) and
-/// `ws` the per-shard buffers, so repeated epochs reuse the sort
-/// permutation and every per-shard buffer (the routing core itself is
-/// allocation-free past warm-up; only the returned report allocates).
-/// `total_offered_gbps` must be total_demand() of the
-/// original matrix (computed in AoS order so the report matches
-/// simulate_flows bit for bit). simulate_flows with routing=kPrimary
-/// delegates here with temporary storage.
-FlowReport simulate_flows_primary(const net::Subgraph& backbone,
-                                  const net::TrafficMatrixSoA& tm_soa,
-                                  double total_offered_gbps,
-                                  const std::vector<bool>& is_virtual,
-                                  const FlowSimOptions& opt, net::ShardWorkspace& ws);
 
 }  // namespace poc::core

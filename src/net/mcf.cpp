@@ -67,7 +67,6 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
                                                     const GreedyRoutingOptions& opt) {
     POC_EXPECTS(opt.utilization_cap > 0.0 && opt.utilization_cap <= 1.0);
     POC_EXPECTS(opt.exclusions == nullptr || opt.exclusions->size() == tm.size());
-    POC_EXPECTS(opt.log == nullptr || opt.footprint == nullptr);
     const Graph& g = sg.graph();
 
     // Place the biggest demands first: they are the hardest to fit.
@@ -134,7 +133,7 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
     CommodityRouting routing;
     routing.routes.resize(tm.size());
     GreedyLog* const log = opt.log;
-    std::vector<LinkId>* const footprint = log != nullptr ? &log->footprint : opt.footprint;
+    std::vector<LinkId>* const footprint = log != nullptr ? &log->footprint : nullptr;
     if (log != nullptr) log->clear();
 
     // Replay the resumed prefix: its placements, subtracted in the same

@@ -84,8 +84,13 @@ struct GreedyLog {
         bool operator==(const DemandEnd&) const = default;
     };
 
-    /// The run's footprint, in search order (as GreedyRoutingOptions::
-    /// footprint collects it), so each demand's searches form a segment.
+    /// The run's footprint, in search order, so each demand's searches
+    /// form a segment: every link of every path a shortest-path search
+    /// returned (duplicates included), each demand's first path and the
+    /// spur paths of every Yen step the run took, also those of
+    /// candidates the placement never used. Removing links outside the
+    /// footprint leaves the run unchanged (DESIGN.md §6), which is what
+    /// the acceptability oracle's certificate rests on.
     std::vector<LinkId> footprint;
     std::vector<LinkId> path_links;
     std::vector<Placement> placements;
@@ -107,21 +112,12 @@ struct GreedyRoutingOptions {
     double utilization_cap = 1.0;
     /// Optional per-commodity forbidden links (size == tm.size()).
     const CommodityExclusions* exclusions = nullptr;
-    /// Optional output: the run's footprint. Every link of every path a
-    /// shortest-path search returned is appended (duplicates included):
-    /// each demand's first path and the spur paths of every Yen step the
-    /// run took, also those of candidates the placement never used.
-    /// Removing links outside the footprint leaves the run unchanged
-    /// (DESIGN.md §6), which is what the acceptability oracle's
-    /// certificate rests on.
-    std::vector<LinkId>* footprint = nullptr;
     /// Optional scratch reused across runs, its incidence already built
     /// (see GreedyWorkspace). Null: a local workspace, built from `sg`.
     /// The routing is the same either way.
     GreedyWorkspace* workspace = nullptr;
     /// Optional output: the run's log (cleared first), up to the demand
-    /// that did not fit. It collects the footprint too, so a run takes
-    /// `footprint` or `log`, not both.
+    /// that did not fit, its footprint included (GreedyLog::footprint).
     GreedyLog* log = nullptr;
     /// Optional input: replay the first `resume_demands` demands of
     /// `resume` (not `log`) instead of searching for them. `resume` must

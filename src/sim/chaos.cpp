@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -225,15 +225,19 @@ std::vector<Fault> draw_fault_trace(const market::OfferPool& pool,
 namespace {
 
 /// Copy of `g` with per-link capacities scaled by `factor` (entries in
-/// (0, 1]); node/link ids are preserved by insertion order.
-net::Graph scaled_copy(const net::Graph& g, const std::vector<double>& factor) {
-    net::Graph out;
+/// (0, 1]); node/link ids are preserved by insertion order. Null when
+/// nothing is browned out, for callers to use `g` itself.
+std::unique_ptr<net::Graph> browned_out(const net::Graph& g, const std::vector<double>& factor) {
+    if (std::none_of(factor.begin(), factor.end(), [](double f) { return f < 1.0; })) {
+        return nullptr;
+    }
+    auto out = std::make_unique<net::Graph>();
     for (std::size_t n = 0; n < g.node_count(); ++n) {
-        out.add_node(g.node_label(net::NodeId{n}));
+        out->add_node(g.node_label(net::NodeId{n}));
     }
     for (std::size_t i = 0; i < g.link_count(); ++i) {
         const net::Link& l = g.link(net::LinkId{i});
-        out.add_link(l.a, l.b, l.capacity_gbps * factor[i], l.length_km);
+        out->add_link(l.a, l.b, l.capacity_gbps * factor[i], l.length_km);
     }
     return out;
 }
@@ -256,39 +260,28 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
     // manipulation rebuilds).
     for (const market::BpBid& b : base_pool.bids()) POC_EXPECTS(!b.has_bundle_overrides());
 
-    std::vector<bool> is_virtual(n_links, false);
-    for (const net::LinkId l : base_pool.virtual_links().links()) is_virtual[l.index()] = true;
-
     // One engine for the whole run: the initial auction, every
     // re-auction pivot, and every epoch's flow pass share its path
     // cache (safe across the brownout graph copies, since capacity
     // scaling keeps link ids and lengths, the cache-key contract), and
     // re-auctions whose surviving offer set is within the delta
     // threshold of the previous clearing reuse its memo.
-    Engine engine(opt);
-    const core::ProvisioningRequest request = engine.wire(opt.request);
-    const core::FlowSimOptions flow_opt = engine.flow_options(opt.flow_routing);
+    Engine engine(opt, opt.request, opt.flow_routing, base_pool);
+    const market::ConstraintKind constraint = opt.request.constraint;
 
     ChaosOutcome out;
-    auto initial = core::provision(base_pool, tm, request);
+    auto initial = engine.clear(base_pool, tm, constraint);
     if (!initial) return out;  // provisioned stays false
     out.provisioned = true;
     out.baseline_outlay = initial->monthly_outlay();
 
-    // Service state mutated by the epoch loop's re-auctions. Re-auctioned
-    // backbones reference brownout-degraded graph copies, so those (and
-    // the pools built over them) live in deques for address stability.
-    struct State {
-        std::deque<net::Graph> graphs;
-        std::deque<market::OfferPool> pools;
-        core::ProvisionedBackbone backbone;
-        util::Money outlay;
-        bool degraded_mode = false;
-    } st{.graphs = {},
-         .pools = {},
-         .backbone = std::move(*initial),
-         .outlay = out.baseline_outlay,
-         .degraded_mode = false};
+    // Service state the epoch loop's re-auctions replace: the live
+    // backbone, the brownout-degraded graph copy it was cleared over
+    // (null: g0), its outlay, and whether it relaxed the constraint.
+    core::ProvisionedBackbone live = std::move(*initial);
+    std::unique_ptr<net::Graph> live_graph;
+    util::Money live_outlay = out.baseline_outlay;
+    bool live_relaxed = false;
 
     // Per-link fault state at an epoch: hard-down mask plus surviving-
     // capacity factor (brownouts compound by taking the worst factor).
@@ -307,7 +300,8 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
             }
             ++active;
             for (const net::LinkId l : f.links) {
-                if (is_virtual[l.index()]) continue;  // contracted fallback is reliable
+                // Contracted fallback is reliable.
+                if (base_pool.virtual_links().contains(l)) continue;
                 if (f.capacity_factor <= 0.0) {
                     down[l.index()] = 1;
                 } else {
@@ -343,16 +337,17 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
             bids.push_back(std::move(survivor));
         }
 
-        st.graphs.push_back(scaled_copy(g0, factor));
-        st.pools.emplace_back(std::move(bids), base_pool.virtual_links(), st.graphs.back());
-        const market::OfferPool& pool = st.pools.back();
+        // Clear over the base graph when nothing is browned out: equal
+        // content gives equal oracle fingerprints, so the result is the
+        // same as over a copy.
+        std::unique_ptr<net::Graph> graph = browned_out(g0, factor);
+        const market::OfferPool pool(std::move(bids), base_pool.virtual_links(),
+                                     graph != nullptr ? *graph : g0);
 
         bool degraded_mode = false;
-        auto backbone = core::provision(pool, tm, request);
-        if (!backbone && request.constraint != market::ConstraintKind::kLoad) {
-            core::ProvisioningRequest relaxed = request;
-            relaxed.constraint = market::ConstraintKind::kLoad;
-            backbone = core::provision(pool, tm, relaxed);
+        auto backbone = engine.clear(pool, tm, constraint);
+        if (!backbone && constraint != market::ConstraintKind::kLoad) {
+            backbone = engine.clear(pool, tm, market::ConstraintKind::kLoad);
             degraded_mode = backbone.has_value();
         }
         if (!backbone) {
@@ -363,11 +358,12 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
         ++out.reauction_count;
         POC_OBS_INC("sim.chaos.reauctions");
         if (degraded_mode) POC_OBS_INC("sim.chaos.relaxed_reauctions");
-        st.backbone = std::move(*backbone);
-        st.outlay = st.backbone.monthly_outlay();
-        st.degraded_mode = degraded_mode;
-        if (st.outlay > out.baseline_outlay) {
-            out.total_recovery_cost += st.outlay - out.baseline_outlay;
+        live = std::move(*backbone);
+        live_graph = std::move(graph);
+        live_outlay = live.monthly_outlay();
+        live_relaxed = degraded_mode;
+        if (live_outlay > out.baseline_outlay) {
+            out.total_recovery_cost += live_outlay - out.baseline_outlay;
         }
     };
 
@@ -378,22 +374,19 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
         SlaRecord rec;
         rec.epoch = epoch;
         rec.faults_active = fault_state(epoch, down, factor);
-        rec.degraded_mode = st.degraded_mode;
+        rec.degraded_mode = live_relaxed;
 
-        const bool any_brownout =
-            std::any_of(factor.begin(), factor.end(), [](double f) { return f < 1.0; });
-        net::Graph degraded;  // only materialized when capacities changed
-        const net::Graph* epoch_graph = &g0;
-        if (any_brownout) {
-            degraded = scaled_copy(g0, factor);
-            epoch_graph = &degraded;
-        }
+        const std::unique_ptr<net::Graph> degraded = browned_out(g0, factor);
+        const net::Graph& epoch_graph = degraded != nullptr ? *degraded : g0;
 
-        // Operating set: surviving selected links, plus every
-        // contracted virtual link as emergency fallback.
+        // Operating set: the surviving selected links. The contracted
+        // virtual links the auction did not select are the fallback of
+        // last resort (section 3.3): they join only when the backbone
+        // alone does not carry the whole matrix, and those the routing
+        // then leans on are procured for the epoch at contract price.
         std::vector<net::LinkId> operating;
         std::vector<char> in_selected(n_links, 0);
-        for (const net::LinkId l : st.backbone.selected.active_links()) {
+        for (const net::LinkId l : live.selected.active_links()) {
             in_selected[l.index()] = 1;
             if (down[l.index()]) {
                 ++rec.links_down;
@@ -402,12 +395,21 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
             if (factor[l.index()] < 1.0) ++rec.links_degraded;
             operating.push_back(l);
         }
+        std::vector<net::LinkId> fallback;
         for (const net::LinkId l : base_pool.virtual_links().links()) {
-            if (!in_selected[l.index()]) operating.push_back(l);
+            if (!in_selected[l.index()]) fallback.push_back(l);
         }
 
-        const net::Subgraph sg(*epoch_graph, operating);
-        const core::FlowReport flows = core::simulate_flows(sg, tm, is_virtual, flow_opt);
+        core::FlowReport flows = engine.flows(net::Subgraph(epoch_graph, operating), tm);
+        if (!flows.fully_routed && !fallback.empty()) {
+            operating.insert(operating.end(), fallback.begin(), fallback.end());
+            flows = engine.flows(net::Subgraph(epoch_graph, operating), tm);
+            for (const net::LinkId l : fallback) {
+                if (flows.link_load_gbps[l.index()] > 1e-9) {
+                    rec.emergency_virtual_cost += base_pool.virtual_links().price(l);
+                }
+            }
+        }
 
         rec.offered_gbps = flows.total_offered_gbps;
         rec.delivered_gbps = std::min(flows.total_routed_gbps, flows.total_offered_gbps);
@@ -417,14 +419,7 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
         rec.stretch = flows.stretch;
         rec.virtual_share = flows.virtual_share;
 
-        // Virtual links the auction did not select but the degraded
-        // routing leaned on: procured for the epoch at contract price.
-        for (const net::LinkId l : base_pool.virtual_links().links()) {
-            if (in_selected[l.index()] == 0 && flows.link_load_gbps[l.index()] > 1e-9) {
-                rec.emergency_virtual_cost += base_pool.virtual_links().price(l);
-            }
-        }
-        rec.outlay = st.outlay + rec.emergency_virtual_cost;
+        rec.outlay = live_outlay + rec.emergency_virtual_cost;
         out.total_recovery_cost += rec.emergency_virtual_cost;
 
         // Recovery trigger: an off-cycle re-auction after this

@@ -2,24 +2,22 @@
 
 namespace poc::sim {
 
-Engine::Engine(const EngineOptions& opt)
-    : opt_(opt), path_cache_(1, opt.path_cache_repair_budget) {}
-
-core::ProvisioningRequest Engine::wire(core::ProvisioningRequest request) {
-    if (opt_.use_path_cache) request.oracle.path_cache = &path_cache_;
-    if (opt_.use_delta_reclear && request.auction.delta == nullptr) {
-        request.auction.delta = &delta_;
+Engine::Engine(const EngineOptions& opt, const core::ProvisioningRequest& request,
+               core::FlowRouting routing, const market::OfferPool& pool)
+    : path_cache_(1, opt.path_cache_repair_budget),
+      request_(request),
+      virtual_links_(pool.virtual_links().links()),
+      is_virtual_(pool.graph().link_count(), false) {
+    if (opt.use_path_cache) {
+        request_.oracle.path_cache = &path_cache_;
+        flow_opt_.path_cache = &path_cache_;
     }
-    return request;
-}
-
-core::FlowSimOptions Engine::flow_options(core::FlowRouting routing) {
-    core::FlowSimOptions flow;
-    if (opt_.use_path_cache) flow.path_cache = &path_cache_;
-    flow.routing = routing;
-    flow.flow_shards = opt_.flow_shards;
-    flow.flow_threads = opt_.flow_threads;
-    return flow;
+    if (opt.use_delta_reclear && request_.auction.delta == nullptr) {
+        request_.auction.delta = &delta_;
+    }
+    for (const net::LinkId l : virtual_links_) is_virtual_[l.index()] = true;
+    flow_opt_.routing = routing;
+    flow_opt_.workspace = &flow_ws_;
 }
 
 }  // namespace poc::sim

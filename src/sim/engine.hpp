@@ -1,22 +1,26 @@
-// The engine decision shared by every epoch driver (sim/runtime,
-// sim/chaos, sim/scenario): which caches an epoch sequence carries and
-// how they are wired into the acceptability oracle, the auction and the
-// flow pass (DESIGN.md §7).
+// The two stages of every epoch (paper section 3.3), shared by every
+// epoch driver (sim/runtime, sim/chaos, sim/scenario): clear the
+// auction, then carry the traffic over the leased backbone. The engine
+// owns what an epoch sequence carries between them (DESIGN.md §7.3);
+// each driver keeps its own loop.
 //
 // Every knob in EngineOptions is an *engine* knob: outcomes are
 // bit-identical whatever its value, so none of them is part of the
 // journal meta fingerprint (sim/replay.hpp) and a journaled run may
 // resume with any of them flipped. The one data-plane choice that does
-// change results, core::FlowRouting, stays a semantic option of each
-// driver and is passed to flow_options().
+// change results, core::FlowRouting, is a semantic option of each
+// driver, passed to the engine.
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <vector>
 
 #include "core/flow_sim.hpp"
 #include "core/provisioning.hpp"
 #include "market/delta_reclear.hpp"
 #include "net/path_cache.hpp"
+#include "util/contracts.hpp"
 
 namespace poc::sim {
 
@@ -39,18 +43,18 @@ struct EngineOptions {
     /// context reuses its verdict/solve memo. It is the auction's only
     /// memo: off = every auction solves unmemoized.
     bool use_delta_reclear = true;
-    /// Shard tasks / threads for the core::FlowRouting::kPrimary data
-    /// plane (net/shard.hpp); ignored under kGreedy.
-    std::size_t flow_shards = 1;
-    std::size_t flow_threads = 1;
 };
 
-/// Owner of the caches one epoch sequence carries. Not copyable or
-/// movable: wired requests and flow options point into it, so it must
-/// outlive every auction and flow pass that uses them.
+/// One epoch sequence's clearing and flow stages. Not copyable or
+/// movable: the wired request points into it.
 class Engine {
 public:
-    explicit Engine(const EngineOptions& opt);
+    /// `request` with the engine's caches wired in: the path cache when
+    /// enabled, and the delta memo when enabled and the request has
+    /// none. The flow pass reports `pool`'s virtual links as virtual
+    /// share.
+    Engine(const EngineOptions& opt, const core::ProvisioningRequest& request,
+           core::FlowRouting routing, const market::OfferPool& pool);
 
     Engine(const Engine&) = delete;
     Engine& operator=(const Engine&) = delete;
@@ -58,18 +62,37 @@ public:
     /// Start a new epoch: age out cached trees no recent mask used.
     void advance_epoch() { path_cache_.advance_epoch(); }
 
-    /// `request` with the caches wired in: the oracle's path cache
-    /// (when enabled) and the delta memo (when enabled and the caller
-    /// left `auction.delta` null).
-    core::ProvisioningRequest wire(core::ProvisioningRequest request);
+    /// The request with the engine's caches wired in.
+    const core::ProvisioningRequest& request() const { return request_; }
 
-    /// Flow-pass options for `routing`, sharing the path cache.
-    core::FlowSimOptions flow_options(core::FlowRouting routing);
+    /// core::provision through the wired request, under `constraint`.
+    /// `pool` must hold the constructor's pool's virtual-link contract
+    /// (the same links in the same order), so the flow pass's virtual
+    /// share stays right.
+    std::optional<core::ProvisionedBackbone> clear(const market::OfferPool& pool,
+                                                   const net::TrafficMatrix& tm,
+                                                   market::ConstraintKind constraint) {
+        POC_EXPECTS(pool.virtual_links().links() == virtual_links_);
+        core::ProvisioningRequest request = request_;
+        request.constraint = constraint;
+        return core::provision(pool, tm, request);
+    }
+
+    /// core::simulate_flows with the run's routing, path cache and flow
+    /// scratch. `backbone` may be over any graph with the pool's link
+    /// ids and lengths (chaos scales capacities in a copy).
+    core::FlowReport flows(const net::Subgraph& backbone, const net::TrafficMatrix& tm) {
+        return core::simulate_flows(backbone, tm, is_virtual_, flow_opt_);
+    }
 
 private:
-    EngineOptions opt_;
     net::PathCache path_cache_;
     market::DeltaReclearState delta_;
+    core::ProvisioningRequest request_;
+    std::vector<net::LinkId> virtual_links_;
+    std::vector<bool> is_virtual_;
+    core::FlowWorkspace flow_ws_;
+    core::FlowSimOptions flow_opt_;
 };
 
 }  // namespace poc::sim

@@ -126,14 +126,11 @@ struct EpochRuntime::Impl {
     RuntimeOutcome outcome;
     PendingEpoch pending;
     bool has_pending = false;
-    /// The run's caches (sim/engine.hpp), shared across every epoch's
-    /// oracle queries and flow passes. Process-local like the breaker:
-    /// a restarted process starts cold, which is safe because warm and
-    /// cold clears are bit-identical.
+    /// The run's clearing and flow stages (sim/engine.hpp), whose caches
+    /// every epoch's oracle queries and flow passes share. Process-local
+    /// like the breaker: a restarted process starts cold, which is safe
+    /// because warm and cold clears are bit-identical.
     Engine engine;
-    /// opt.request with the engine's caches wired in.
-    core::ProvisioningRequest request;
-    core::FlowSimOptions flow_opt;
     /// Last full payload per record type in the journal file — the
     /// delta-encoding bases for future appends. Rebuilt from the file
     /// on recovery, reset by compaction.
@@ -151,9 +148,7 @@ struct EpochRuntime::Impl {
           opt(std::move(opt_)),
           rng(opt.seed),
           retrier(opt.retry, opt.breaker),
-          engine(opt),
-          request(engine.wire(opt.request)),
-          flow_opt(engine.flow_options(opt.flow_routing)) {
+          engine(opt, opt.request, opt.flow_routing, pool) {
         POC_EXPECTS(opt.epochs >= 1);
         POC_EXPECTS(opt.demand_jitter >= 0.0 && opt.demand_jitter < 1.0);
         POC_EXPECTS(opt.snapshot_keep >= 1);
@@ -386,6 +381,9 @@ struct EpochRuntime::Impl {
         pending.breaker_open = retrier.breaker_state() == util::BreakerState::kOpen;
         const std::uint64_t attempts_before = retrier.stats().attempts;
 
+        // The primary attempt keeps one oracle across retries: an
+        // auction result counts its oracle's lifetime queries.
+        const core::ProvisioningRequest& request = engine.request();
         const market::AcceptabilityOracle base(pool.graph(), epoch_tm, request.constraint,
                                                request.oracle);
         market::FallibleOracle::FaultHook fault;
@@ -411,11 +409,9 @@ struct EpochRuntime::Impl {
             // re-clear under plain load feasibility with a fresh,
             // healthy oracle — the sick dependency is bypassed, not
             // hammered.
-            const market::AcceptabilityOracle relaxed(pool.graph(), epoch_tm,
-                                                      market::ConstraintKind::kLoad,
-                                                      request.oracle);
-            pending.auction = market::run_auction(pool, relaxed, request.auction);
-            pending.degraded = pending.auction.has_value();
+            auto relaxed = engine.clear(pool, epoch_tm, market::ConstraintKind::kLoad);
+            if (relaxed) pending.auction = std::move(relaxed->auction);
+            pending.degraded = relaxed.has_value();
             if (pending.degraded) POC_OBS_INC("sim.runtime.degraded_epochs");
         }
         pending.attempts = retrier.stats().attempts - attempts_before;
@@ -511,13 +507,8 @@ struct EpochRuntime::Impl {
         if (!pending.have_flows) {
             hook(epoch, Stage::kFlowSim, HookPoint::kBefore);
             if (pending.auction) {
-                std::vector<bool> is_virtual(pool.graph().link_count(), false);
-                for (const net::LinkId l : pool.virtual_links().links()) {
-                    is_virtual[l.index()] = true;
-                }
                 const net::Subgraph backbone(pool.graph(), pending.selected);
-                const core::FlowReport flows =
-                    core::simulate_flows(backbone, epoch_tm, is_virtual, flow_opt);
+                const core::FlowReport flows = engine.flows(backbone, epoch_tm);
                 pending.offered_gbps = flows.total_offered_gbps;
                 pending.routed_gbps = flows.total_routed_gbps;
                 pending.max_utilization = flows.max_utilization;

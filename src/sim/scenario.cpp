@@ -85,14 +85,13 @@ std::vector<EpochOutcome> run_scenario(const market::OfferPool& initial_pool,
     std::vector<EpochOutcome> outcomes;
 
     // One engine across epochs: the pools built by with_withheld_links
-    // / with_scaled_bid keep the same Graph, so the path cache's key
-    // contract (fixed link ids and lengths) holds for the whole
-    // scenario. Small offer-set deltas (withheld links, failures) reuse
-    // the previous epoch's auction memo; demand changes alter the
-    // oracle fingerprint and fall back to cold automatically.
-    Engine engine(opt);
-    const core::ProvisioningRequest request = engine.wire(opt.request);
-    const core::FlowSimOptions flow_opt = engine.flow_options(opt.flow_routing);
+    // / with_scaled_bid keep the same Graph and virtual-link contract,
+    // so the path cache's key contract (fixed link ids and lengths)
+    // holds for the whole scenario. Small offer-set deltas (withheld
+    // links, failures) reuse the previous epoch's auction memo; demand
+    // changes alter the oracle fingerprint and fall back to cold
+    // automatically.
+    Engine engine(opt, opt.request, opt.flow_routing, initial_pool);
 
     // Links failed so far (withheld from every future pool).
     std::optional<core::ProvisionedBackbone> last_backbone;
@@ -146,7 +145,7 @@ std::vector<EpochOutcome> run_scenario(const market::OfferPool& initial_pool,
         out.offered_links = pool.offered_links().size();
         out.total_demand_gbps = net::total_demand(tm);
 
-        auto backbone = core::provision(pool, tm, request);
+        auto backbone = engine.clear(pool, tm, opt.request.constraint);
         if (backbone) {
             out.provisioned = true;
             out.outlay = backbone->monthly_outlay();
@@ -162,11 +161,7 @@ std::vector<EpochOutcome> run_scenario(const market::OfferPool& initial_pool,
             }
             out.mean_pob = winners > 0 ? pob_sum / static_cast<double>(winners) : 0.0;
 
-            std::vector<bool> is_virtual(pool.graph().link_count(), false);
-            for (const net::LinkId l : pool.virtual_links().links()) {
-                is_virtual[l.index()] = true;
-            }
-            out.flows = core::simulate_flows(backbone->selected, tm, is_virtual, flow_opt);
+            out.flows = engine.flows(backbone->selected, tm);
             last_backbone = std::move(backbone);
         }
         outcomes.push_back(std::move(out));

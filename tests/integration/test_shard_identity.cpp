@@ -1,11 +1,11 @@
 // Sharded data-plane identity (DESIGN.md §9): with the kPrimary
-// routing mode, every engine knob of the sharded flow engine — shard
-// count, thread count, path-cache mode — must leave chaos walks,
-// scripted scenarios, and the journaled epoch runtime bit-identical.
-// Shard count is an engine knob and therefore excluded from the
-// journal meta fingerprint (a journaled run resumes under any shard
-// count); flow_routing is semantic and fingerprinted, so flipping it
-// against an existing journal must be refused.
+// routing mode, every engine knob — path-cache mode, delta memo — must
+// leave chaos walks, scripted scenarios, and the journaled epoch
+// runtime bit-identical. The shard and thread count is derived from
+// the host, never part of the journal meta fingerprint (a journaled run
+// resumes on any core count); flow_routing is semantic and
+// fingerprinted, so flipping it against an existing journal must be
+// refused.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -99,8 +99,9 @@ void expect_sla_identical(const std::vector<sim::SlaRecord>& a,
 }
 
 // --- Chaos fault walks: one fault trace, kPrimary routing, every
-// shard/thread/cache config reproduces the same SLA series and money
-// flows bit for bit. ---
+// cache config reproduces the same SLA series and money flows bit for
+// bit. The flow pass's shard and thread count is derived from the host
+// (core::simulate_flows); ShardedPrimaryFlow.* sweep it directly. ---
 TEST(ShardIdentity, ChaosFaultWalkIdenticalAcrossShardConfigs) {
     const ShardMarketFixture fx;
     const market::OfferPool pool = fx.pool();
@@ -120,41 +121,30 @@ TEST(ShardIdentity, ChaosFaultWalkIdenticalAcrossShardConfigs) {
 
     sim::ChaosOutcome reference;
     bool have_reference = false;
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                     std::size_t{8}}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-            for (const bool cache : {false, true}) {
-                const std::string tag = "shards=" + std::to_string(shards) +
-                                        " threads=" + std::to_string(threads) +
-                                        " cache=" + std::to_string(cache);
-                sim::ChaosOptions opt = base;
-                opt.flow_shards = shards;
-                opt.flow_threads = threads;
-                opt.use_path_cache = cache;
-                opt.path_cache_repair_budget = cache ? 8 : 0;
-                const sim::ChaosOutcome got = sim::run_chaos(pool, fx.tm, trace, opt);
-                ASSERT_TRUE(got.provisioned) << tag;
-                if (!have_reference) {
-                    reference = got;
-                    have_reference = true;
-                    continue;
-                }
-                expect_sla_identical(reference.sla, got.sla, tag);
-                EXPECT_EQ(reference.reauction_count, got.reauction_count) << tag;
-                EXPECT_EQ(reference.min_delivered_fraction, got.min_delivered_fraction)
-                    << tag;
-                EXPECT_EQ(reference.total_undelivered_gbps, got.total_undelivered_gbps)
-                    << tag;
-                EXPECT_EQ(reference.total_recovery_cost, got.total_recovery_cost) << tag;
-            }
+    for (const bool cache : {false, true}) {
+        const std::string tag = "cache=" + std::to_string(cache);
+        sim::ChaosOptions opt = base;
+        opt.use_path_cache = cache;
+        opt.path_cache_repair_budget = cache ? 8 : 0;
+        const sim::ChaosOutcome got = sim::run_chaos(pool, fx.tm, trace, opt);
+        ASSERT_TRUE(got.provisioned) << tag;
+        if (!have_reference) {
+            reference = got;
+            have_reference = true;
+            continue;
         }
+        expect_sla_identical(reference.sla, got.sla, tag);
+        EXPECT_EQ(reference.reauction_count, got.reauction_count) << tag;
+        EXPECT_EQ(reference.min_delivered_fraction, got.min_delivered_fraction) << tag;
+        EXPECT_EQ(reference.total_undelivered_gbps, got.total_undelivered_gbps) << tag;
+        EXPECT_EQ(reference.total_recovery_cost, got.total_recovery_cost) << tag;
     }
     // Under primary-path routing the routed path IS the shortest path.
     for (const sim::SlaRecord& r : reference.sla) EXPECT_EQ(r.stretch, 1.0);
 }
 
 // --- Scripted scenarios: failures shrink the active set mid-run; the
-// flow reports stay identical across shard counts. ---
+// flow reports stay identical across engine configs. ---
 TEST(ShardIdentity, ScenarioOutcomesIdenticalAcrossShardConfigs) {
     const ShardMarketFixture fx;
     const market::OfferPool pool = fx.pool();
@@ -173,14 +163,14 @@ TEST(ShardIdentity, ScenarioOutcomesIdenticalAcrossShardConfigs) {
     base.flow_routing = core::FlowRouting::kPrimary;
 
     const auto reference = sim::run_scenario(pool, fx.tm, events, base);
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
+    for (const bool cache : {false, true}) {
         sim::ScenarioOptions opt = base;
-        opt.flow_shards = shards;
-        opt.flow_threads = 2;
+        opt.use_path_cache = cache;
+        opt.use_delta_reclear = !cache;
         const auto got = sim::run_scenario(pool, fx.tm, events, opt);
-        ASSERT_EQ(reference.size(), got.size()) << "shards " << shards;
+        ASSERT_EQ(reference.size(), got.size()) << "cache " << cache;
         for (std::size_t i = 0; i < reference.size(); ++i) {
-            const std::string tag = "shards " + std::to_string(shards) + " epoch " +
+            const std::string tag = "cache " + std::to_string(cache) + " epoch " +
                                     std::to_string(i);
             EXPECT_EQ(reference[i].provisioned, got[i].provisioned) << tag;
             EXPECT_EQ(reference[i].outlay, got[i].outlay) << tag;
@@ -196,9 +186,10 @@ TEST(ShardIdentity, ScenarioOutcomesIdenticalAcrossShardConfigs) {
     }
 }
 
-// --- The journaled epoch runtime: shard count is an engine knob (a
-// journal written at shards=1 replays under shards=4 and vice versa),
-// while flow_routing is semantic meta (flipping it against an existing
+// --- The journaled epoch runtime: the flow pass's caches are engine
+// knobs (a journal written with them on replays with them off, as one
+// written on a host of any core count replays on any other), while
+// flow_routing is semantic meta (flipping it against an existing
 // journal is refused). ---
 TEST(ShardIdentity, JournaledRuntimeResumesAcrossShardCountButNotRoutingFlip) {
     const ShardMarketFixture fx;
@@ -213,14 +204,13 @@ TEST(ShardIdentity, JournaledRuntimeResumesAcrossShardCountButNotRoutingFlip) {
     opt1.seed = 11;
     opt1.request = fx.request();
     opt1.flow_routing = core::FlowRouting::kPrimary;
-    opt1.flow_shards = 1;
     opt1.journal_path = (dir / "shard.journal").string();
 
     sim::RuntimeOptions opt4 = opt1;
-    opt4.flow_shards = 4;
-    opt4.flow_threads = 2;
+    opt4.use_path_cache = false;
+    opt4.use_delta_reclear = false;
 
-    // Fresh runs at different shard counts are bit-identical.
+    // Fresh runs under different engine knobs are bit-identical.
     sim::RuntimeOptions fresh4 = opt4;
     fresh4.journal_path.clear();
     const auto run1 = sim::EpochRuntime(pool, fx.tm, opt1).run();
@@ -233,8 +223,8 @@ TEST(ShardIdentity, JournaledRuntimeResumesAcrossShardCountButNotRoutingFlip) {
         EXPECT_EQ(run1.epochs[i], run4.epochs[i]) << "epoch " << i;
     }
 
-    // The journal written at shards=1 replays fully at shards=4: shard
-    // count is not part of the meta fingerprint.
+    // The journal written with the caches on replays fully with them
+    // off: engine knobs are not part of the meta fingerprint.
     const auto replayed = sim::EpochRuntime(pool, fx.tm, opt4).run();
     EXPECT_EQ(replayed.replayed_epochs, opt1.epochs);
     EXPECT_TRUE(replayed.final_rng == run1.final_rng);

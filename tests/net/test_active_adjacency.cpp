@@ -152,9 +152,11 @@ struct GreedyRun {
 GreedyRun run_greedy(const Subgraph& sg, const TrafficMatrix& tm, GreedyRoutingOptions opt,
                      GreedyWorkspace* ws) {
     GreedyRun run;
-    opt.footprint = &run.footprint;
+    GreedyLog log;
+    opt.log = &log;
     opt.workspace = ws;
     run.routing = greedy_path_routing(sg, tm, opt);
+    run.footprint = std::move(log.footprint);
     return run;
 }
 

@@ -282,17 +282,17 @@ TEST(ShardedPrimaryFlow, SimulateFlowsPrimaryReportInvariants) {
     EXPECT_EQ(a.mean_path_km, a.mean_shortest_km);
     EXPECT_GT(a.max_utilization, 0.0);
 
-    // The report is bit-identical whatever the engine knobs say.
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
-        core::FlowSimOptions opt2 = opt;
-        opt2.flow_shards = shards;
-        opt2.flow_threads = 3;
+    // The report is bit-identical with scratch reused across calls.
+    core::FlowWorkspace ws;
+    core::FlowSimOptions opt2 = opt;
+    opt2.workspace = &ws;
+    for (int pass = 0; pass < 2; ++pass) {
         const core::FlowReport b = core::simulate_flows(sg, tm, {}, opt2);
-        EXPECT_EQ(a.total_routed_gbps, b.total_routed_gbps) << "shards " << shards;
-        EXPECT_EQ(a.max_utilization, b.max_utilization) << "shards " << shards;
-        EXPECT_EQ(a.mean_utilization, b.mean_utilization) << "shards " << shards;
-        EXPECT_EQ(a.mean_path_km, b.mean_path_km) << "shards " << shards;
-        EXPECT_EQ(a.link_load_gbps, b.link_load_gbps) << "shards " << shards;
+        EXPECT_EQ(a.total_routed_gbps, b.total_routed_gbps) << "pass " << pass;
+        EXPECT_EQ(a.max_utilization, b.max_utilization) << "pass " << pass;
+        EXPECT_EQ(a.mean_utilization, b.mean_utilization) << "pass " << pass;
+        EXPECT_EQ(a.mean_path_km, b.mean_path_km) << "pass " << pass;
+        EXPECT_EQ(a.link_load_gbps, b.link_load_gbps) << "pass " << pass;
     }
 }
 

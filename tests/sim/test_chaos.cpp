@@ -30,7 +30,7 @@ struct ChaosFixture {
     market::VirtualLinkContract contract;
     net::TrafficMatrix tm;
 
-    explicit ChaosFixture(bool with_virtual = false) {
+    explicit ChaosFixture(bool with_virtual = false, double virtual_km = 1.5) {
         const auto n0 = graph.add_node("n0");
         const auto n1 = graph.add_node("n1");
         const auto n2 = graph.add_node("n2");
@@ -47,8 +47,9 @@ struct ChaosFixture {
         bid_c.offer(d, Money::from_dollars(std::int64_t{60}));
         bids = {std::move(bid_a), std::move(bid_b), std::move(bid_c)};
         if (with_virtual) {
-            // Slightly longer so routing prefers real links when whole.
-            v = graph.add_link(n0, n1, 10.0, 1.5);
+            // Slightly longer by default, so routing prefers real links
+            // when whole even with the virtual link on offer.
+            v = graph.add_link(n0, n1, 10.0, virtual_km);
             contract.add(v, Money::from_dollars(std::int64_t{600}));
         }
         tm = {{n0, n1, 6.0}};
@@ -193,6 +194,32 @@ TEST(Chaos, EmergencyVirtualCapacityProcuredAtContractPrice) {
     EXPECT_FALSE(r.sla[1].reauction_triggered);
     EXPECT_NEAR(r.sla[2].virtual_share, 0.0, 1e-9);
     EXPECT_TRUE(r.sla[2].emergency_virtual_cost.is_zero());
+    EXPECT_EQ(r.total_recovery_cost, Money::from_dollars(std::int64_t{600}));
+}
+
+TEST(Chaos, HealthyEpochBuysNoEmergencyCapacity) {
+    // The unselected virtual link is shorter than the backbone's path,
+    // so a routing offered both would take it. The fallback of last
+    // resort joins only when the surviving backbone falls short.
+    ChaosFixture fx(/*with_virtual=*/true, /*virtual_km=*/0.5);
+    const auto pool = fx.pool();
+    const std::vector<Fault> trace{
+        {FaultKind::kLinkCut, 1, 1, {fx.a}, 0.0, "cut a"}};
+    const ChaosOutcome r =
+        run_chaos(pool, fx.tm, trace, fx.options(market::ConstraintKind::kLoad, 3));
+    ASSERT_TRUE(r.provisioned);
+    ASSERT_EQ(r.sla.size(), 3u);
+
+    for (const std::size_t healthy : {std::size_t{0}, std::size_t{2}}) {
+        EXPECT_EQ(r.sla[healthy].faults_active, 0u) << "epoch " << healthy;
+        EXPECT_NEAR(r.sla[healthy].delivered_fraction, 1.0, 1e-9) << "epoch " << healthy;
+        EXPECT_TRUE(r.sla[healthy].emergency_virtual_cost.is_zero()) << "epoch " << healthy;
+        EXPECT_EQ(r.sla[healthy].outlay, r.baseline_outlay) << "epoch " << healthy;
+        EXPECT_NEAR(r.sla[healthy].virtual_share, 0.0, 1e-9) << "epoch " << healthy;
+    }
+    // The cut epoch still procures the virtual link at contract price.
+    EXPECT_NEAR(r.sla[1].delivered_fraction, 1.0, 1e-9);
+    EXPECT_EQ(r.sla[1].emergency_virtual_cost, Money::from_dollars(std::int64_t{600}));
     EXPECT_EQ(r.total_recovery_cost, Money::from_dollars(std::int64_t{600}));
 }
 
