@@ -57,17 +57,42 @@ void Ledger::record(Party from, Party to, TransferKind kind, util::Money amount,
     POC_OBS_INC("core.ledger.transfers");
     POC_OBS_COUNT("core.ledger.settled_microusd", amount.micros());
     transfers_.push_back(Transfer{from, to, kind, amount, std::move(memo)});
+    post(from, -amount);
+    post(to, amount);
+}
+
+void Ledger::post(Party party, util::Money amount) {
+    std::size_t i = 0;
+    while (i < balances_.size() && !(balances_[i].first == party)) ++i;
+    if (i == balances_.size()) {
+        balances_.emplace_back(party, util::Money{});
+        overflowed_.push_back(0);
+    }
+    if (overflowed_[i] != 0) return;
+    // A settlement path that sums near-int64 amounts must fail loudly,
+    // never wrap (util::money): the overflow surfaces when the balance
+    // is read, as a scan of the transfers would raise it.
+    const auto sum = util::Money::checked_add(balances_[i].second, amount);
+    if (sum) {
+        balances_[i].second = *sum;
+    } else {
+        overflowed_[i] = 1;
+        any_overflowed_ = true;
+    }
 }
 
 util::Money Ledger::balance(Party party) const {
-    // Accumulate with overflow checking: a settlement path that sums
-    // near-int64 amounts must fail loudly, never wrap (util::money).
-    util::Money net{};
-    for (const Transfer& t : transfers_) {
-        if (t.to == party) net = util::Money::checked_sum(net, t.amount);
-        if (t.from == party) net = util::Money::checked_sum(net, -t.amount);
+    for (std::size_t i = 0; i < balances_.size(); ++i) {
+        if (!(balances_[i].first == party)) continue;
+        POC_EXPECTS(overflowed_[i] == 0);  // the balance overflowed int64 micros
+        return balances_[i].second;
     }
-    return net;
+    return util::Money{};
+}
+
+const std::vector<std::pair<Party, util::Money>>& Ledger::balances() const {
+    POC_EXPECTS(!any_overflowed_);  // some balance overflowed int64 micros
+    return balances_;
 }
 
 util::Money Ledger::total(TransferKind kind) const {

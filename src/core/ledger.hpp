@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/journal.hpp"
@@ -84,8 +85,16 @@ public:
 
     const std::vector<Transfer>& transfers() const noexcept { return transfers_; }
 
-    /// Net balance of a party: credits minus debits.
+    /// Net balance of a party: credits minus debits. Read from a tally
+    /// record() keeps, so it costs O(parties), not O(transfers). Throws
+    /// ContractViolation when the party's balance overflowed int64
+    /// micros at any point of the transfer sequence.
     util::Money balance(Party party) const;
+
+    /// Net balance of every party with ledger activity, in first-seen
+    /// order (each transfer's debit party, then its credit party).
+    /// Throws ContractViolation when any of them overflowed.
+    const std::vector<std::pair<Party, util::Money>>& balances() const;
 
     /// Sum of all amounts in a category.
     util::Money total(TransferKind kind) const;
@@ -107,7 +116,16 @@ public:
     static Ledger deserialize(util::BinaryReader& r);
 
 private:
+    /// Add `amount` to `party`'s running balance, through the same
+    /// ordered checked addition a scan of the transfers would make. An
+    /// overflow sticks: no later transfer makes the balance readable.
+    void post(Party party, util::Money amount);
+
     std::vector<Transfer> transfers_;
+    std::vector<std::pair<Party, util::Money>> balances_;
+    /// Per entry of balances_: its running sum overflowed.
+    std::vector<char> overflowed_;
+    bool any_overflowed_ = false;
 };
 
 }  // namespace poc::core

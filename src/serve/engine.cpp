@@ -24,7 +24,7 @@ void ServeEngine::publish(const sim::EpochCommit& commit) noexcept {
     // previous epoch published and counts the failure.
     try {
         const auto start = std::chrono::steady_clock::now();
-        auto view = build_epoch_view(pool_.graph(), commit);
+        auto view = build_epoch_view(pool_.graph(), commit, hub_.current().get());
         hub_.publish(std::move(view));
         const auto dur = std::chrono::steady_clock::now() - start;
         const double swap_ms = std::chrono::duration<double, std::milli>(dur).count();

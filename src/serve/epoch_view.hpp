@@ -93,20 +93,25 @@ struct EpochView {
 
 /// Freeze one epoch's results into a view. `graph` must outlive the
 /// call only (trees are materialized eagerly); the returned view owns
-/// everything it answers from.
+/// everything it answers from. `previous`, when given, is a view built
+/// over the same graph (the one a tier last published): if its
+/// backbone is this epoch's, its path trees are copied instead of
+/// recomputed. The view is the same either way, byte for byte.
 std::shared_ptr<const EpochView> build_epoch_view(
     const net::Graph& graph, std::size_t epoch, std::size_t completed_epochs, bool replayed,
     const sim::EpochRecord& record, const std::optional<market::AuctionResult>& auction,
-    const core::Ledger& ledger);
+    const core::Ledger& ledger, const EpochView* previous = nullptr);
 
 /// Convenience: freeze straight from the runtime's commit callback.
 std::shared_ptr<const EpochView> build_epoch_view(const net::Graph& graph,
-                                                  const sim::EpochCommit& commit);
+                                                  const sim::EpochCommit& commit,
+                                                  const EpochView* previous = nullptr);
 
 /// Freeze the newest epoch of a materialized historical state
 /// (sim::materialize_state_at). Requires at least one epoch.
 std::shared_ptr<const EpochView> build_epoch_view(const net::Graph& graph,
-                                                  const sim::RuntimeState& state);
+                                                  const sim::RuntimeState& state,
+                                                  const EpochView* previous = nullptr);
 
 /// Canonical byte serialization of everything a view *answers from*:
 /// epoch, record, quotes, backbone, path trees, balances. The one

@@ -95,7 +95,7 @@ struct Follower::Impl {
 
     void publish_current() {
         if (cursor.state.epochs.empty()) return;
-        auto view = build_epoch_view(pool.graph(), cursor.state);
+        auto view = build_epoch_view(pool.graph(), cursor.state, hub->current().get());
         if (hub->publish(std::move(view))) {
             ++stats.views_published;
         } else {

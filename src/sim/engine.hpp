@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -80,10 +81,11 @@ public:
 
     /// core::simulate_flows with the run's routing, path cache and flow
     /// scratch. `backbone` may be over any graph with the pool's link
-    /// ids and lengths (chaos scales capacities in a copy).
-    core::FlowReport flows(const net::Subgraph& backbone, const net::TrafficMatrix& tm) {
-        return core::simulate_flows(backbone, tm, is_virtual_, flow_opt_);
-    }
+    /// ids and lengths (chaos scales capacities in a copy). A call whose
+    /// inputs equal the previous pass's, bit for bit (DESIGN.md §7.3),
+    /// returns that pass's report without routing and counts
+    /// `sim.engine.flow_reuses`.
+    core::FlowReport flows(const net::Subgraph& backbone, const net::TrafficMatrix& tm);
 
 private:
     net::PathCache path_cache_;
@@ -93,6 +95,14 @@ private:
     std::vector<bool> is_virtual_;
     core::FlowWorkspace flow_ws_;
     core::FlowSimOptions flow_opt_;
+    /// The last flow pass's inputs as words (the graph's link count, the
+    /// active count, each active link's id, endpoints, capacity and
+    /// length bits, each demand's endpoints and gbps bits), and its
+    /// report. `flow_probe_`
+    /// is the scratch a call builds its own key in.
+    std::vector<std::uint64_t> flow_key_;
+    std::vector<std::uint64_t> flow_probe_;
+    std::optional<core::FlowReport> last_flows_;
 };
 
 }  // namespace poc::sim

@@ -70,22 +70,32 @@ std::optional<std::string> delta_frame(std::map<std::uint16_t, std::string>& bas
     return delta;
 }
 
-}  // namespace
-
-std::string encode_runtime_state(const RuntimeState& state) {
-    POC_EXPECTS(state.epochs.size() == state.auctions.size());
+/// encode_runtime_state over borrowed parts, so the runtime snapshots
+/// its live state without copying the history into a RuntimeState.
+std::string encode_state(const std::vector<EpochRecord>& epochs,
+                         const std::vector<std::optional<market::AuctionResult>>& auctions,
+                         const core::Ledger& ledger, const util::RngState& rng,
+                         std::uint64_t breaker_open_epochs) {
+    POC_EXPECTS(epochs.size() == auctions.size());
     util::BinaryWriter w;
     w.u64(kStateVersion);
-    w.u64(state.epochs.size());
-    for (const EpochRecord& rec : state.epochs) write_epoch_record(w, rec);
-    for (const std::optional<market::AuctionResult>& a : state.auctions) {
+    w.u64(epochs.size());
+    for (const EpochRecord& rec : epochs) write_epoch_record(w, rec);
+    for (const std::optional<market::AuctionResult>& a : auctions) {
         w.boolean(a.has_value());
         if (a) market::write_auction_result(w, *a);
     }
-    state.ledger.serialize(w);
-    write_rng_state(w, state.rng);
-    w.u64(state.breaker_open_epochs);
+    ledger.serialize(w);
+    write_rng_state(w, rng);
+    w.u64(breaker_open_epochs);
     return w.bytes();
+}
+
+}  // namespace
+
+std::string encode_runtime_state(const RuntimeState& state) {
+    return encode_state(state.epochs, state.auctions, state.ledger, state.rng,
+                        state.breaker_open_epochs);
 }
 
 RuntimeState decode_runtime_state(std::string_view bytes) {
@@ -351,9 +361,9 @@ struct EpochRuntime::Impl {
         POC_OBS_SPAN("sim.runtime.snapshot");
         const auto epoch = static_cast<std::size_t>(completed);
         hook(epoch, Stage::kSnapshotWrite, HookPoint::kBefore);
-        RuntimeState st{outcome.epochs, outcome.auctions, outcome.ledger, rng.state(),
-                        outcome.breaker_open_epochs};
-        const std::string payload = encode_runtime_state(st);
+        const std::string payload =
+            encode_state(outcome.epochs, outcome.auctions, outcome.ledger, rng.state(),
+                         outcome.breaker_open_epochs);
         // kMid models the worst case: state serialized, install not
         // yet durable. The atomic temp+rename install makes a crash
         // here invisible to recovery.

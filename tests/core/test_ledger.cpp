@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/contracts.hpp"
+#include "util/journal.hpp"
+#include "util/rng.hpp"
 
 namespace poc::core {
 namespace {
@@ -117,6 +123,104 @@ TEST(Ledger, ExactIntegerAccounting) {
     }
     EXPECT_EQ(ledger.balance(kPoc).micros(), 3 * third.micros());
     EXPECT_TRUE(ledger.conserves());
+}
+
+/// A party's balance the way a scan of the transfers sums it: checked
+/// additions in transfer order; nullopt once the sum overflows.
+std::optional<Money> scanned_balance(const Ledger& ledger, Party party) {
+    Money net{};
+    for (const Transfer& t : ledger.transfers()) {
+        std::optional<Money> next = net;
+        if (t.to == party) next = Money::checked_add(net, t.amount);
+        if (t.from == party) next = Money::checked_add(net, -t.amount);
+        if (!next) return std::nullopt;
+        net = *next;
+    }
+    return net;
+}
+
+void expect_tally_matches_scan(const Ledger& ledger, const std::vector<Party>& parties,
+                               const std::string& tag) {
+    for (const Party p : parties) {
+        const std::optional<Money> want = scanned_balance(ledger, p);
+        if (want) {
+            EXPECT_EQ(ledger.balance(p), *want) << tag << " " << party_label(p);
+        } else {
+            EXPECT_THROW(ledger.balance(p), util::ContractViolation) << tag << " " << party_label(p);
+        }
+    }
+    // balances(): every party with activity in first-seen order (debit
+    // party, then credit party), or a throw when any of them overflowed.
+    std::vector<std::pair<Party, Money>> want;
+    bool overflowed = false;
+    for (const Transfer& t : ledger.transfers()) {
+        for (const Party p : {t.from, t.to}) {
+            bool seen = false;
+            for (const auto& entry : want) seen = seen || entry.first == p;
+            if (seen) continue;
+            const std::optional<Money> balance = scanned_balance(ledger, p);
+            overflowed = overflowed || !balance;
+            want.emplace_back(p, balance.value_or(Money{}));
+        }
+    }
+    if (overflowed) {
+        EXPECT_THROW(ledger.balances(), util::ContractViolation) << tag;
+    } else {
+        EXPECT_EQ(ledger.balances(), want) << tag;
+    }
+}
+
+TEST(Ledger, RunningBalancesMatchAScanOfTheTransfers) {
+    // balance(), balances() and poc_net() read the tally record() keeps.
+    // Over random transfer sequences they agree with a scan of
+    // transfers(): the same values, the same first-seen order, and a
+    // throw exactly where the scan overflows (every fourth round moves
+    // amounts near the int64 limit). A serialize/deserialize round trip
+    // rebuilds the same tally.
+    const std::vector<Party> parties = {
+        kPoc, kBp0, kLmp0, kLmp1, {PartyKind::kCsp, 2}, {PartyKind::kExternalIsp, 0},
+        {PartyKind::kCustomers, 1}, {PartyKind::kBandwidthProvider, 7}};
+    const std::size_t active = parties.size() - 1;  // the last one never transacts
+    util::Rng rng(77);
+    int overflowing_rounds = 0;
+    for (int round = 0; round < 40; ++round) {
+        const bool huge = round % 4 == 3;
+        const std::uint64_t max_micros =
+            huge ? std::uint64_t{std::numeric_limits<std::int64_t>::max() / 3}
+                 : std::uint64_t{1'000'000'000};
+        Ledger ledger;
+        const std::uint64_t n = 1 + rng.uniform_int(std::uint64_t{40});
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const std::size_t from = rng.uniform_int(std::uint64_t{active});
+            const std::size_t to = (from + 1 + rng.uniform_int(std::uint64_t{active - 1})) % active;
+            // Now and then a zero amount, which record() drops.
+            const Money amount = rng.bernoulli(0.1)
+                                     ? Money{}
+                                     : Money::from_micros(static_cast<std::int64_t>(
+                                           rng.uniform_int(max_micros)));
+            ledger.record(parties[from], parties[to], TransferKind::kPocAccess, amount);
+        }
+        const std::string tag = "round " + std::to_string(round);
+        expect_tally_matches_scan(ledger, parties, tag);
+        const std::optional<Money> poc = scanned_balance(ledger, kPoc);
+        if (poc) {
+            EXPECT_EQ(ledger.poc_net(), *poc) << tag;
+        } else {
+            ++overflowing_rounds;
+            EXPECT_THROW(ledger.poc_net(), util::ContractViolation) << tag;
+        }
+
+        util::BinaryWriter w;
+        ledger.serialize(w);
+        const std::string bytes = w.bytes();
+        util::BinaryReader r(bytes);
+        const Ledger copy = Ledger::deserialize(r);
+        expect_tally_matches_scan(copy, parties, tag + " round trip");
+        if (poc) {
+            EXPECT_EQ(copy.poc_net(), *poc) << tag;
+        }
+    }
+    EXPECT_GT(overflowing_rounds, 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers/market.hpp"
+#include "util/rng.hpp"
 
 namespace poc::serve {
 namespace {
@@ -131,6 +132,46 @@ TEST(EpochView, BuildsFromMaterializedState) {
     EXPECT_EQ(view->completed_epochs, 2u);
     EXPECT_TRUE(view->replayed);
     EXPECT_EQ(view->record, out.epochs.back());
+}
+
+TEST(EpochView, TreesCopiedFromThePreviousViewAreTheFreshTrees) {
+    // A view built with the previously published one copies its path
+    // trees when the backbone is unchanged. Across a sequence that
+    // keeps, replaces, empties and restores the backbone, every view
+    // encodes to the same bytes as one built from scratch.
+    util::Rng rng(19);
+    const net::Graph graph = test::random_connected(rng, 14, 18, 12.0);
+    core::Ledger ledger;
+    std::optional<market::AuctionResult> auction;
+    std::shared_ptr<const EpochView> previous;
+    int kept = 0;
+    int changed = 0;
+    for (std::size_t epoch = 0; epoch < 40; ++epoch) {
+        const double u = rng.uniform(0.0, 1.0);
+        if (epoch == 0 || u < 0.25) {
+            market::AuctionResult next;
+            for (const net::LinkId l : graph.all_links()) {
+                if (rng.bernoulli(0.6)) next.selection.links.push_back(l);
+            }
+            auction = std::move(next);
+        } else if (u < 0.35) {
+            auction.reset();
+        }
+        ledger.record(core::Party{core::PartyKind::kLmp, 0}, core::Party{core::PartyKind::kPoc, 0},
+                      core::TransferKind::kPocAccess,
+                      Money::from_dollars(static_cast<std::int64_t>(epoch + 1)));
+        sim::EpochRecord record;
+        record.epoch = epoch;
+        const auto fresh =
+            build_epoch_view(graph, epoch, epoch + 1, false, record, auction, ledger);
+        const auto built = build_epoch_view(graph, epoch, epoch + 1, false, record, auction,
+                                            ledger, previous.get());
+        EXPECT_EQ(encode_epoch_view(*built), encode_epoch_view(*fresh)) << "epoch " << epoch;
+        ++(previous && previous->backbone == built->backbone ? kept : changed);
+        previous = built;
+    }
+    EXPECT_GT(kept, 10);
+    EXPECT_GT(changed, 10);
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "helpers/graphs.hpp"
+#include "obs/metrics.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -99,6 +102,107 @@ TEST(Engine, FlowStageMatchesFreshSimulateFlows) {
         }
         EXPECT_GT(full, 0);
         EXPECT_GT(short_of_full, 0);
+    }
+}
+
+/// Every value of a report as bits, so -0.0 and 0.0 differ.
+std::vector<std::uint64_t> report_bits(const core::FlowReport& r) {
+    std::vector<std::uint64_t> bits;
+    for (const double d : {r.total_offered_gbps, r.total_routed_gbps, r.max_utilization,
+                           r.mean_utilization, r.mean_path_km, r.mean_shortest_km, r.stretch,
+                           r.virtual_share}) {
+        bits.push_back(std::bit_cast<std::uint64_t>(d));
+    }
+    bits.push_back(r.fully_routed ? 1 : 0);
+    for (const double d : r.link_load_gbps) bits.push_back(std::bit_cast<std::uint64_t>(d));
+    return bits;
+}
+
+TEST(Engine, FlowReuseAnswersEqualInputsOnly) {
+    // The engine returns its last report when a call's inputs equal the
+    // last pass's value for value, whatever objects carry them. A graph
+    // rewritten in place with scaled capacities (the same address,
+    // chaos's brownout shape), a demand flipped from 0.0 to -0.0 and
+    // back, and a cut link are new inputs. Every report's bits equal a
+    // fresh simulate_flows, and only real passes count core.flows.runs.
+    util::Rng build(41);
+    const net::Graph base = test::random_connected(build, 16, 20, 12.0);
+    market::VirtualLinkContract contract;
+    std::vector<bool> is_virtual(base.link_count(), false);
+    market::BpBid bid(market::BpId{0u}, "A");
+    for (const net::LinkId l : base.all_links()) {
+        if (l.index() % 5 == 2) {
+            contract.add(l, util::Money::from_dollars(std::int64_t{500}));
+            is_virtual[l.index()] = true;
+        } else {
+            bid.offer(l, util::Money::from_dollars(std::int64_t{100}));
+        }
+    }
+    const market::OfferPool pool({bid}, contract, base);
+    net::TrafficMatrix tm;
+    for (std::size_t i = 0; i < 30; ++i) {
+        const auto a = static_cast<std::size_t>(build.uniform_int(std::uint64_t{16}));
+        const auto b =
+            (a + 1 + static_cast<std::size_t>(build.uniform_int(std::uint64_t{15}))) % 16;
+        tm.push_back({net::NodeId{a}, net::NodeId{b}, build.uniform(0.5, 3.0)});
+    }
+    tm.push_back({net::NodeId{0u}, net::NodeId{9u}, 0.0});
+    net::TrafficMatrix negative_zero = tm;
+    negative_zero.back().gbps = -0.0;
+    std::vector<net::LinkId> links;
+    for (const net::LinkId l : base.all_links()) {
+        if (l.index() % 4 != 1) links.push_back(l);
+    }
+    std::vector<net::LinkId> cut = links;
+    cut.erase(cut.begin() + 3);
+
+    for (const core::FlowRouting routing :
+         {core::FlowRouting::kGreedy, core::FlowRouting::kPrimary}) {
+        Engine engine(EngineOptions{}, core::ProvisioningRequest{}, routing, pool);
+        core::FlowSimOptions fresh;
+        fresh.routing = routing;
+        util::Rng rng(routing == core::FlowRouting::kGreedy ? 3 : 4);
+        net::Graph g = base;
+        const net::Graph* const address = &g;
+        std::uint64_t reuses = 0;
+        std::uint64_t runs = 0;
+        const auto step = [&](const std::vector<net::LinkId>& active,
+                              const net::TrafficMatrix& matrix, bool reused,
+                              const std::string& tag) {
+#if POC_OBS_ENABLED
+            auto& reuse_counter = obs::registry().counter("sim.engine.flow_reuses");
+            auto& run_counter = obs::registry().counter("core.flows.runs");
+            const std::uint64_t reuses0 = reuse_counter.value();
+            const std::uint64_t runs0 = run_counter.value();
+#endif
+            const net::Subgraph backbone(g, active);
+            const net::TrafficMatrix copy = matrix;
+            const core::FlowReport got = engine.flows(backbone, copy);
+#if POC_OBS_ENABLED
+            EXPECT_EQ(reuse_counter.value() - reuses0, reused ? 1u : 0u) << tag;
+            EXPECT_EQ(run_counter.value() - runs0, reused ? 0u : 1u) << tag;
+#endif
+            ++(reused ? reuses : runs);
+            const core::FlowReport want = core::simulate_flows(backbone, matrix, is_virtual, fresh);
+            EXPECT_EQ(report_bits(got), report_bits(want)) << tag;
+            return got;
+        };
+
+        const core::FlowReport first = step(links, tm, false, "first pass");
+        step(links, tm, true, "repeat");
+        step(links, tm, true, "repeat again");
+        g = scaled_copy(base, rng);
+        ASSERT_EQ(&g, address);
+        const core::FlowReport scaled = step(links, tm, false, "scaled in place");
+        EXPECT_NE(report_bits(scaled), report_bits(first));
+        step(links, tm, true, "scaled repeat");
+        step(links, negative_zero, false, "-0.0 demand");
+        step(links, negative_zero, true, "-0.0 repeat");
+        step(links, tm, false, "+0.0 demand");
+        step(cut, tm, false, "cut link");
+        step(links, tm, false, "restored link");
+        EXPECT_EQ(reuses, 4u);
+        EXPECT_EQ(runs, 6u);
     }
 }
 
