@@ -88,38 +88,53 @@ FlowReport simulate_flows(const net::Subgraph& backbone, const net::TrafficMatri
     report.total_offered_gbps = net::total_demand(tm);
     report.link_load_gbps.assign(g.link_count(), 0.0);
 
+    // Shortest-possible distance per demand for the stretch metric:
+    // one SSSP per distinct source (optionally cached) instead of one
+    // per demand. The accumulation below stays in j
+    // order, so the sum is bit-identical to per-demand shortest_path
+    // calls. An infinite distance also marks a demand the backbone
+    // cannot carry at all.
+    net::SsspBatchOptions batch_opt;
+    batch_opt.metric = net::SsspMetric::kLength;
+    batch_opt.cache = opt.path_cache;
+    const std::vector<double> shortest_km = net::batched_demand_distances(backbone, tm, batch_opt);
+    constexpr double kUnreachable = std::numeric_limits<double>::infinity();
+
     ws.greedy.incidence.assign(backbone);
     net::GreedyRoutingOptions greedy_opt;
     greedy_opt.workspace = &ws.greedy;
     auto routing = net::greedy_path_routing(backbone, tm, greedy_opt);
     if (!routing) {
-        // Fall back to the concurrent-flow routing. Its routes carry
+        // Fall back to the concurrent-flow routing of the demands the
+        // backbone connects: one cut-off demand (of more than the 1e-12
+        // gbps both routings skip) would make the whole matrix's lambda
+        // 0 and route nothing. Its routes carry
         // lambda_j * d_j per demand; cap each demand at its offered
         // volume so the report never counts over-routing.
-        auto cf = net::max_concurrent_flow(backbone, tm, 0.1);
+        net::TrafficMatrix reachable;
+        std::vector<std::size_t> index;  // reachable[k] is tm[index[k]]
         for (std::size_t j = 0; j < tm.size(); ++j) {
+            if (net::greedy_routes(tm[j]) && shortest_km[j] == kUnreachable) continue;
+            reachable.push_back(tm[j]);
+            index.push_back(j);
+        }
+        auto cf = net::max_concurrent_flow(backbone, reachable, 0.1);
+        routing.emplace();
+        routing->routes.resize(tm.size());
+        for (std::size_t k = 0; k < reachable.size(); ++k) {
+            auto& routes = routing->routes[index[k]];
+            routes = std::move(cf.routing.routes[k]);
             double carried = 0.0;
-            for (const auto& [path, rate] : cf.routing.routes[j]) carried += rate;
-            if (carried > tm[j].gbps && carried > 0.0) {
-                const double f = tm[j].gbps / carried;
-                for (auto& [path, rate] : cf.routing.routes[j]) rate *= f;
+            for (const auto& [path, rate] : routes) carried += rate;
+            if (carried > reachable[k].gbps && carried > 0.0) {
+                const double f = reachable[k].gbps / carried;
+                for (auto& [path, rate] : routes) rate *= f;
             }
         }
-        report.fully_routed = cf.lambda >= 1.0;
-        routing = std::move(cf.routing);
+        report.fully_routed = cf.lambda >= 1.0 && reachable.size() == tm.size();
     } else {
         report.fully_routed = true;
     }
-
-    // Shortest-possible distance per demand for the stretch metric:
-    // one SSSP per distinct source (optionally cached) instead of one
-    // per demand. The accumulation below stays in j
-    // order, so the sum is bit-identical to per-demand shortest_path
-    // calls.
-    net::SsspBatchOptions batch_opt;
-    batch_opt.metric = net::SsspMetric::kLength;
-    batch_opt.cache = opt.path_cache;
-    const std::vector<double> shortest_km = net::batched_demand_distances(backbone, tm, batch_opt);
 
     double weighted_km = 0.0;
     double weighted_shortest_km = 0.0;
@@ -144,7 +159,7 @@ FlowReport simulate_flows(const net::Subgraph& backbone, const net::TrafficMatri
         report.total_routed_gbps += routed_j;
         if (routed_j > 0.0) {
             ++admitted;
-            if (shortest_km[j] < std::numeric_limits<double>::infinity()) {
+            if (shortest_km[j] < kUnreachable) {
                 weighted_shortest_km += routed_j * shortest_km[j];
             }
         }

@@ -162,6 +162,32 @@ TEST(FlowSim, ConcurrentFlowFallbackReportsPartialRouting) {
     EXPECT_LE(r.total_routed_gbps, 10.0 + 1e-6);
 }
 
+TEST(FlowSim, ConcurrentFlowFallbackRoutesTheConnectedDemands) {
+    // The six-parallel-link instance above, plus a demand to a node the
+    // backbone cuts off. max_concurrent_flow over the whole matrix is
+    // lambda 0 with no routes; the fallback routes the connected demand
+    // exactly as it would alone and leaves the cut-off one unrouted.
+    net::Graph g;
+    const auto s = g.add_node("s");
+    const auto t = g.add_node("t");
+    const auto cut_off = g.add_node("u");
+    for (int i = 0; i < 6; ++i) g.add_link(s, t, 2.0, 1.0);
+    net::Subgraph sg(g);
+    const net::TrafficMatrix tm{{s, cut_off, 1.0}, {s, t, 9.0}};
+    ASSERT_FALSE(net::greedy_path_routing(sg, tm).has_value());
+    ASSERT_EQ(net::max_concurrent_flow(sg, tm, 0.1).lambda, 0.0);
+
+    const FlowReport r = simulate_flows(sg, tm);
+    const FlowReport alone = simulate_flows(sg, {{s, t, 9.0}});
+    EXPECT_FALSE(r.fully_routed);
+    EXPECT_DOUBLE_EQ(r.total_offered_gbps, 10.0);
+    EXPECT_NEAR(r.total_routed_gbps, 9.0, 1e-9);
+    EXPECT_EQ(r.total_routed_gbps, alone.total_routed_gbps);
+    EXPECT_EQ(r.link_load_gbps, alone.link_load_gbps);
+    EXPECT_EQ(r.max_utilization, alone.max_utilization);
+    EXPECT_EQ(r.stretch, alone.stretch);
+}
+
 TEST(FlowSim, FastPathOptionsAreBitIdentical) {
     util::Rng rng(5);
     net::Graph g = test::random_connected(rng, 16, 10);
